@@ -142,6 +142,28 @@ BENCHMARK(BM_HandoffLatency)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(64);
 
+// Team arrival: a static loop of P = 4 one-iteration blocks posted to a
+// runtime whose three background workers are all parked (same 500 us
+// settle as BM_WakeLatency). A static block runs only on its owner, so the
+// loop ends when the last owner has woken and run its block: the post's
+// fan-out wake (unpark_n) is the whole cost. With a single wake per post
+// the other two owners slept out the 200 us park backstop instead.
+void BM_TeamArrival(benchmark::State& state) {
+  rt::runtime rtm(4);
+  for (auto _ : state) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    const auto t0 = std::chrono::steady_clock::now();
+    for_each(rtm, 0, 4, policy::static_part,
+             [](std::int64_t i) { benchmark::DoNotOptimize(i); });
+    const auto dt = std::chrono::steady_clock::now() - t0;
+    state.SetIterationTime(std::chrono::duration<double>(dt).count());
+  }
+}
+BENCHMARK(BM_TeamArrival)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(64);
+
 void BM_TaskPoolAllocFree(benchmark::State& state) {
   rt::block_pool pool;
   for (auto _ : state) {

@@ -33,7 +33,7 @@ python3 tools/ordlint/ordlint.py --frontend=auto \
 ctest --test-dir build --output-on-failure
 
 # Deterministic model checking (docs/verification.md): bounded-exhaustive
-# sweeps of the shipping protocol cores, then the seven
+# sweeps of the shipping protocol cores, then the eight
 # seeded-broken variants, whose DETECTION is the pass (hls_verify inverts
 # the exit code for models marked expect-failure). The ctest pass above
 # already ran verify_test/claim_interleaving_test; this sweep exercises
@@ -50,6 +50,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=range_word --bound=5"
     "--model=claim-bitmap --bound=-1"
     "--model=parking --bound=-1"
+    "--model=parking-fanout --bound=3"
     "--model=parking-backoff --bound=4"
     "--model=handoff --bound=3"
     "--model=deque-broken-nogenbump --bound=3"
@@ -57,6 +58,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=range_word-broken-norecheck --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
+    "--model=parking-fanout-broken-merge --bound=3"
     "--model=parking-backoff-broken-nobroadcast --bound=3"
     "--model=handoff-broken-dropped --bound=3"
   )
@@ -69,6 +71,7 @@ else
     "--model=range_word --bound=3"
     "--model=claim-bitmap --bound=3"
     "--model=parking --bound=3"
+    "--model=parking-fanout --bound=2"
     "--model=parking-backoff --bound=3"
     "--model=handoff --bound=2"
     "--model=deque-broken-nogenbump --bound=3"
@@ -76,6 +79,7 @@ else
     "--model=range_word-broken-norecheck --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
+    "--model=parking-fanout-broken-merge --bound=3"
     "--model=parking-backoff-broken-nobroadcast --bound=3"
     "--model=handoff-broken-dropped --bound=3"
   )
@@ -126,6 +130,7 @@ import json
 names = [b["name"] for b in json.load(open("build/BENCH_rt_primitives.json"))["benchmarks"]]
 assert any("BM_WakeLatency" in n for n in names), names
 assert any("BM_HandoffLatency" in n for n in names), names
+assert any("BM_TeamArrival" in n for n in names), names
 assert any("BM_BatchSteal" in n for n in names), names
 assert any("BM_SpanOverhead" in n for n in names), names
 assert any("BM_SpanOverhead/huge" in n for n in names), names

@@ -6,8 +6,9 @@
 // sleepers polled on a 200us timed wait) with one parking slot per worker.
 // A wakeup is now one epoch bump + one notify_one on a single slot, so a
 // task posted to an all-idle runtime wakes exactly one worker instead of a
-// thundering herd, and a parked worker is woken in wake-latency time
-// instead of at the next poll tick.
+// thundering herd, a loop the whole team can use wakes exactly the k
+// workers it needs (unpark_n), and a parked worker is woken in wake-latency
+// time instead of at the next poll tick.
 //
 // The park protocol is split in two phases so callers can close the
 // classic lost-wakeup race (check-then-park):
@@ -41,6 +42,11 @@
 // harness — where the condvar wait is untimed, so a worker that parks with
 // no tracked wake edge surfaces as a deadlock ("lost wakeup") instead of
 // being silently rescued by the backstop.
+//
+// The Policy parameter holds protocol-variant knobs. Shipping code always
+// uses parking_policy_default; the broken variant exists only so the
+// verification suite can prove the harness catches the bug it reintroduces
+// (tests/verify_test.cpp).
 #pragma once
 
 #include <chrono>
@@ -53,7 +59,20 @@
 
 namespace hls::rt {
 
-template <typename Traits>
+// skip_pending: unpark_n passes over a slot whose previous wake is still
+// unconsumed. Disabling it lets one fan-out re-bump such a slot and count
+// it as a delivered wake: two wakes merge into one signal, the count
+// reports a wake no waiter receives, and a waiter the budget should have
+// reached sleeps on (caught by the parking-fanout model).
+struct parking_policy_default {
+  static constexpr bool skip_pending = true;
+};
+
+struct parking_policy_merge_pending {
+  static constexpr bool skip_pending = false;
+};
+
+template <typename Traits, typename Policy = parking_policy_default>
 class parking_lot_core {
   template <typename U>
   using atomic_t = typename Traits::template atomic<U>;
@@ -92,16 +111,19 @@ class parking_lot_core {
     waiters_.fetch_add(1, std::memory_order_relaxed);
     // Dekker, waiter side: the waiter announcement above must be ordered
     // before the caller's work re-check. Pairs with the seq_cst fence in
-    // unpark_one/unpark_all (work publication before the waiter scan).
+    // unpark_n/unpark_all (work publication before the waiter scan).
     Traits::fence(std::memory_order_seq_cst);
     return ticket;
   }
 
   // Aborts between prepare_park and park (the re-check found work).
-  void cancel_park(std::uint32_t w) noexcept {
+  // Returns true when it consumed a wake that had already landed on the
+  // slot (the verify models use it to account for every delivered wake).
+  bool cancel_park(std::uint32_t w) noexcept {
     slot& s = slots_[w];
+    bool consumed = false;
     {
-      // Under the slot mutex: an unpark_one racing with this cancel may
+      // Under the slot mutex: an unpark_n racing with this cancel may
       // have just targeted the slot (epoch bumped, wake_pending set).
       // Consuming the flag here — with the state transition in the same
       // critical section — keeps the invariant that wake_pending tracks
@@ -109,9 +131,11 @@ class parking_lot_core {
       // notifier reads a half-cancelled slot.
       hls::scoped_lock<mutex_t> lg(s.mu);
       s.state.store(kActive, std::memory_order_relaxed);
+      consumed = s.wake_pending;
       s.wake_pending = false;
     }
     waiters_.fetch_sub(1, std::memory_order_release);
+    return consumed;
   }
 
   // Phase 2: blocks until the slot's epoch moves past `ticket` (an unpark
@@ -157,21 +181,27 @@ class parking_lot_core {
     return res;
   }
 
-  // Wakes exactly one announced waiter (round-robin over slots). Returns
-  // true when a waiter was signalled; false when none was visible. Fast
+  // Wakes up to k distinct announced waiters (round-robin over slots) and
+  // returns how many wakes it delivered. One seq_cst fence covers the
+  // whole fan-out: it orders the caller's work publication before every
+  // slot read of the single scan below, exactly as one unpark would, so
+  // waking a team costs one fence and one pass instead of k of each. Fast
   // path with no waiters is one fence + one load, no lock. A slot that
-  // already holds an unconsumed wake is skipped in favour of a different
-  // waiter — two unparks never merge into one delivered signal.
-  bool unpark_one() noexcept {
+  // already holds an unconsumed wake is skipped and does not use up the
+  // budget: two unparks never merge into one delivered signal, so the
+  // return value counts waiters that will really wake.
+  std::uint32_t unpark_n(std::uint32_t k) noexcept {
+    if (k == 0) return 0;
     // Dekker, notifier side: the caller's work publication (deque bottom_
     // store, board ptr store — possibly relaxed) must be ordered before
     // the waiter scan below. Pairs with the fence in prepare_park.
     Traits::fence(std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_relaxed) == 0) return false;
+    if (waiters_.load(std::memory_order_relaxed) == 0) return 0;
     // Round-robin start so repeated single wakes fan out over workers
     // instead of hammering slot 0.
     const std::uint32_t start = rotor_.fetch_add(1, std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n_; ++i) {
+    std::uint32_t delivered = 0;
+    for (std::uint32_t i = 0; i < n_ && delivered < k; ++i) {
       slot& s = slots_[(start + i) % n_];
       // Relaxed scan: purely a heuristic skip — the authoritative re-check
       // happens under the slot mutex below, so no release store pairs with
@@ -185,11 +215,12 @@ class parking_lot_core {
         // finished parking since the scan (bumping an active slot would
         // waste the wake), and a slot whose previous wake is still
         // unconsumed is skipped too — bumping it again would merge two
-        // wakes into one delivered signal, degrading a burst of posts to
-        // backstop latency and overcounting wakes_sent. Keep scanning for
-        // a waiter that can still consume a fresh wake.
+        // wakes into one delivered signal, spending the budget on a
+        // waiter that wakes anyway while another sleeps to the backstop,
+        // and overcounting wakes_sent. Keep scanning for a waiter that can
+        // still consume a fresh wake.
         if (s.state.load(std::memory_order_relaxed) != kActive &&
-            !s.wake_pending) {
+            (!Policy::skip_pending || !s.wake_pending)) {
           s.epoch.fetch_add(1, std::memory_order_relaxed);
           s.wake_pending = true;
           signalled = true;
@@ -197,11 +228,14 @@ class parking_lot_core {
       }
       if (signalled) {
         s.cv.notify_one();
-        return true;
+        ++delivered;
       }
     }
-    return false;
+    return delivered;
   }
+
+  // Wakes exactly one announced waiter; true when one was signalled.
+  bool unpark_one() noexcept { return unpark_n(1) != 0; }
 
   // Advisory scan for a waiter that could consume a targeted wake right
   // now: announced (pending or parked) and with no unconsumed wake. Used
@@ -230,7 +264,7 @@ class parking_lot_core {
 
   // Targeted wake of one specific slot — the delivery half of a work
   // handoff (the caller deposited a payload into w's handoff slot first).
-  // Same authoritative locked check as unpark_one: returns true only when
+  // Same authoritative locked check as unpark_n: returns true only when
   // slot w was announced and had no unconsumed wake, i.e. exactly one
   // fresh wake was delivered. On false the caller still owns the deposit
   // and must reclaim it (the target raced into activity, already holds a
@@ -238,7 +272,7 @@ class parking_lot_core {
   bool unpark_at(std::uint32_t w) noexcept {
     // Dekker, notifier side: the deposit (payload publication) must be
     // ordered before the waiter-state read. Pairs with the fence in
-    // prepare_park, exactly as in unpark_one.
+    // prepare_park, exactly as in unpark_n.
     Traits::fence(std::memory_order_seq_cst);
     slot& s = slots_[w];
     bool signalled = false;
@@ -261,7 +295,7 @@ class parking_lot_core {
     if (waiters_.load(std::memory_order_relaxed) == 0) return;
     for (std::uint32_t w = 0; w < n_; ++w) {
       slot& s = slots_[w];
-      // Relaxed for the same reason as the unpark_one scan.
+      // Relaxed for the same reason as the unpark_n scan.
       if (s.state.load(std::memory_order_relaxed) == kActive) continue;
       bool signalled = false;
       {
@@ -314,7 +348,7 @@ class parking_lot_core {
     mutex_t mu;
     condvar_t cv;
     // True while an unpark has bumped the epoch but the owning worker has
-    // not yet consumed the wake (in park or cancel_park). unpark_one skips
+    // not yet consumed the wake (in park or cancel_park). unpark_n skips
     // such slots so a burst of wakes fans out to distinct waiters instead
     // of collapsing onto one.
     bool wake_pending HLS_GUARDED_BY(mu) = false;

@@ -200,18 +200,16 @@ void runtime::capture_orphan(std::exception_ptr e) noexcept {
   if (orphan_ == nullptr) orphan_ = std::move(e);
 }
 
-void runtime::notify_work() noexcept {
-  // unpark_one's seq_cst fence orders the caller's work publication (deque
+void runtime::notify_work(std::uint32_t k) noexcept {
+  // unpark_n's seq_cst fence orders the caller's work publication (deque
   // bottom_ / board ptr stores) before the waiter scan, pairing with
-  // prepare_park's fence in idle_park. Waking exactly one worker avoids
-  // the old notify_all thundering herd; each further unit of work sends
-  // its own wake (push, post, batch-steal deposit), so wakeups escalate
-  // exactly when work outpaces them.
-  if (parking_.unpark_one()) {
-    worker* w = tls_worker;
-    if (w != nullptr && &w->rt() == this) {
-      telemetry::bump(w->tel().counters.wakes_sent);
-    }
+  // prepare_park's fence in idle_park. Waking only as many workers as the
+  // work can use avoids the old notify_all thundering herd.
+  const std::uint32_t woken = parking_.unpark_n(k);
+  if (woken == 0) return;
+  worker* w = tls_worker;
+  if (w != nullptr && &w->rt() == this) {
+    telemetry::bump(w->tel().counters.wakes_sent, woken);
   }
 }
 

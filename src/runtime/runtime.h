@@ -150,11 +150,14 @@ class runtime {
   // one when spawn failures shrank the team).
   const runtime_options& options() const noexcept { return opt_; }
 
-  // Wakes exactly one parked worker (the new-work edge: pushes, board
-  // posts, batch-steal surpluses). Escalation to more workers happens by
-  // chaining — each unit of published work sends one wake, and a thief
-  // that deposits surplus tasks sends another — not by waking the herd.
-  void notify_work() noexcept;
+  // Wakes up to k parked workers (the new-work edge). Pushes and
+  // batch-steal surpluses wake one; escalation there happens by chaining —
+  // each unit of published work sends one wake, and a thief that deposits
+  // surplus tasks sends another — not by waking the herd. A board post
+  // wakes the whole team the loop can use in one call (parallel_for), so
+  // no worker the loop needs waits out the park backstop. Every delivered
+  // wake counts in the caller's wakes_sent.
+  void notify_work(std::uint32_t k = 1) noexcept;
 
   // Wakes every parked worker. Called on completion edges (a loop's last
   // chunk retiring, a task_group draining) where the specific waiter that

@@ -301,7 +301,8 @@ bool worker::try_steal_round() {
   };
 
   // Affinity order: last successful victim first, then the board's poster
-  // hint (the worker whose deque feeds the open loop), then random victims.
+  // hint (the worker whose range slot holds the open loop's span), then
+  // random victims.
   std::uint32_t tried = kNoVictim;
   if (last_victim_ != kNoVictim && last_victim_ != id_ && last_victim_ < p) {
     tried = last_victim_;

@@ -254,17 +254,27 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
 
   std::uint32_t eff_parts = 0;  // effective R; stays 0 for non-hybrid
   std::shared_ptr<rt::loop_record> rec;
+  // Units of work the record can hand out at once, capped at P below: the
+  // board post wakes that many workers minus the poster, so every worker
+  // the loop can use arrives at once (PAPER.md §1, steps 1-2) instead of
+  // one per wake with the rest sleeping out the park backstop. A static
+  // block runs only on its owner and the wake is not targeted, so static
+  // wakes the whole team.
+  std::int64_t units = p;
   if (pol == policy::static_part) {
     rec = std::make_shared<sched::static_record>(ctx, p);
   } else if (pol == policy::dynamic_shared) {
     const std::int64_t chunk =
         opt.chunk > 0 ? opt.chunk : default_grain(n, p);
+    units = (n - 1) / chunk + 1;
     rec = std::make_shared<sched::shared_queue_record>(ctx, chunk);
   } else if (pol == policy::guided) {
+    units = (n - 1) / opt.min_chunk + 1;
     rec = std::make_shared<sched::guided_record>(ctx, opt.min_chunk, p);
   } else {
     const std::uint32_t parts = opt.partitions > 0 ? opt.partitions : p;
     eff_parts = parts;
+    units = std::min<std::int64_t>(parts, n);
     if (opt.iteration_weight) {
       rec = std::make_shared<sched::hybrid_record>(ctx, parts,
                                                    opt.iteration_weight);
@@ -283,7 +293,12 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   } else {
     slot = rt.loop_board().post(rec, me.id());
   }
-  rt.notify_work();
+  // An unposted record is invisible to peers, so it wakes nobody.
+  if (slot >= 0) {
+    const auto team =
+        static_cast<std::uint32_t>(std::min<std::int64_t>(units, p));
+    rt.notify_work(team - 1);
+  }
   probe.setup_done();
   if (slot < 0 && pol == policy::static_part) {
     // Board overflow: strict static needs every worker to arrive, which

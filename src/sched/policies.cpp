@@ -32,8 +32,6 @@ void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   // Heartbeat at the chunk boundary (runtime/health.h): a worker stuck
   // inside one body stops beating and becomes visible to the watchdog.
   w.beat();
-  // Heartbeat at the chunk boundary (runtime/health.h): a worker stuck
-  // inside one body stops beating and becomes visible to the watchdog.
   telemetry::worker_state& tel = w.tel();
   // Chunk timing needs two clock reads, so it only runs in event-tracing
   // mode; the always-on path is pure relaxed counter stores.
@@ -139,12 +137,15 @@ ws_subtask* try_new_subtask(rt::worker& w,
   }
 }
 
-// The pool-exhaustion fallback: run [lo, hi) serially in grain-sized
-// chunks on this worker.
+// Runs [lo, hi) serially in grain-sized chunks on this worker: the
+// pool-exhaustion fallback, and a stolen range that finds the thief's slot
+// busy. The grain is copied first: once the last chunk retires, the loop
+// may join and free ctx, so the loop must not read it again.
 void run_serial_chunks(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
                        std::int64_t hi) {
-  for (std::int64_t cur = lo; cur < hi; cur += ctx->grain) {
-    ctx->run_chunk(w, cur, std::min(cur + ctx->grain, hi));
+  const std::int64_t grain = ctx->grain;
+  for (std::int64_t cur = lo; cur < hi; cur += grain) {
+    ctx->run_chunk(w, cur, std::min(cur + grain, hi));
   }
 }
 
@@ -207,9 +208,7 @@ void range_span::run_stolen(rt::worker& w, void* ctx_raw, std::int64_t lo,
     // The thief's slot is busy: this steal ran inside an open span (e.g. a
     // task_group wait nested in a chunk body). Run the range serially,
     // chunk by chunk — rare, and exactly-once is preserved either way.
-    for (std::int64_t cur = lo; cur < hi; cur += ctx->grain) {
-      ctx->run_chunk(w, cur, std::min(cur + ctx->grain, hi));
-    }
+    run_serial_chunks(w, ctx, lo, hi);
     return;
   }
   // The new span's upper half is stealable: advertise it, and when a peer

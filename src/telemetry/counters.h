@@ -33,7 +33,7 @@
   X(claim_sequences, "passes through the hybrid claim loop")             \
   X(idle_sleeps, "idle parks that actually blocked")                     \
   X(idle_sleep_ns, "time spent blocked in idle parks, ns")               \
-  X(wakes_sent, "targeted unparks issued by notify_work")                \
+  X(wakes_sent, "wakes delivered by notify_work and unpark_at")         \
   X(wakes_spurious, "wakes that found no visible work")                  \
   X(batch_steal_tasks, "tasks transferred by batched steals")            \
   X(affinity_hits, "steals won on an affinity probe (last victim "       \

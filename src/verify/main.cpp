@@ -61,6 +61,12 @@ const model_spec kSpecs[] = {
     {"parking-broken-norecheck",
      "parking with the post-announce re-check skipped (lost wakeup)", true,
      3},
+    {"parking-fanout",
+     "parking fan-out: unpark_n(k) wakes k distinct waiters, no lost wakeup",
+     false, 3},
+    {"parking-fanout-broken-merge",
+     "parking fan-out with unpark_n re-bumping a pending slot (merged wake)",
+     true, 3},
     {"parking-backoff",
      "backoff_park nap: done-only re-check + retire broadcast, no lost "
      "completion edge",
@@ -101,6 +107,10 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
   if (name == "parking") return hls::verify::make_parking_model(false);
   if (name == "parking-broken-norecheck")
     return hls::verify::make_parking_model(true);
+  if (name == "parking-fanout")
+    return hls::verify::make_parking_fanout_model(false);
+  if (name == "parking-fanout-broken-merge")
+    return hls::verify::make_parking_fanout_model(true);
   if (name == "parking-backoff") return hls::verify::make_backoff_model(false);
   if (name == "parking-backoff-broken-nobroadcast")
     return hls::verify::make_backoff_model(true);

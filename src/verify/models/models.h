@@ -26,7 +26,10 @@
 //   parking    — no lost wakeup: a consumer using the prepare/re-check/
 //                park protocol always terminates; skipping the re-check
 //                deadlocks (detected, with the interleaving that lost the
-//                wake).
+//                wake). The fan-out case adds that one unpark_n(k) reaches
+//                k distinct waiters and that every wake it counts is
+//                received; merging a wake into a pending slot is caught
+//                as a wake no waiter received.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +74,15 @@ std::unique_ptr<model> make_claim_bitmap_model(bool broken_nonatomic);
 // consumer park without the post-prepare_park re-check, reintroducing the
 // classic lost-wakeup (caught as a deadlock).
 std::unique_ptr<model> make_parking_model(bool broken_skip_recheck);
+
+// Fan-out case of the parking model: a poster posts two one-chunk loops
+// (unpark_n(1) each), joins, then posts one block per team member with a
+// single unpark_n(2) — both parked members must wake from that one call.
+// broken_merge_pending selects parking_policy_merge_pending, letting
+// unpark_n re-bump a slot whose wake is still pending and count it as
+// delivered (two wakes merged into one; caught as a lost wakeup: a wake
+// reported sent that no waiter received).
+std::unique_ptr<model> make_parking_fanout_model(bool broken_merge_pending);
 
 // Steal-backoff nap over parking_lot_core (runtime::backoff_park): the
 // consumer re-checks only the completion edge after prepare_park, and

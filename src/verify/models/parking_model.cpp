@@ -172,7 +172,129 @@ class backoff_model final : public model {
   std::unique_ptr<state> st_;
 };
 
+// Fan-out case of the parking model (parking_lot_core::unpark_n): a poster
+// on slot 0 that never parks, and two team members on slots 1 and 2 that
+// idle through the runtime's prepare/re-check/park protocol. The poster
+// posts two loops back to back:
+//
+//   loop 1: one chunk, with unpark_n(1). The poster participates too, so
+//           it may run the chunk itself and leave its wake with nothing to
+//           do — still pending if the woken member has not run yet.
+//   loop 2: one block per member, with a single unpark_n(2). A block runs
+//           only on its owner, so BOTH members must arrive from that call.
+//
+// Checked: the chunk runs exactly once, both blocks run (a member that
+// sleeps through its block is a deadlock under the harness's untimed
+// waits), no park resolves to a backstop timeout, the waiter count ends at
+// zero, and every wake unpark_n reports as delivered is received by a
+// waiter — in park() or in a cancel_park() that consumed it. A wake that
+// is reported sent but that no waiter receives is a lost wakeup, and it
+// is what wakes_sent would overcount.
+//
+// The broken variant (parking_policy_merge_pending) lets unpark_n re-bump
+// a slot whose wake is still pending. In the interleaving where loop 1's
+// wake lands on member 1 and member 1 has not run before loop 2 posts,
+// loop 2's scan re-bumps slot 1 and counts it: three wakes are reported,
+// but member 1 receives its two as one signal.
+template <typename Policy>
+class fanout_model final : public model {
+  using lot_t = rt::parking_lot_core<verify_traits, Policy>;
+
+  struct state {
+    lot_t lot{3};
+    hls::verify::atomic<std::uint32_t> chunk{0};    // loop 1 posted
+    hls::verify::atomic<std::uint32_t> claimed{0};  // loop 1 chunk taken
+    hls::verify::atomic<std::uint32_t> blocks{0};   // loop 2 posted
+    hls::verify::atomic<std::uint32_t> blocks_run{0};
+    std::uint32_t chunk_runs = 0;
+    std::uint32_t sent = 0;              // poster: unpark_n's delivered count
+    std::uint32_t received[2] = {0, 0};  // per member: wakes consumed
+    bool member_done[2] = {false, false};
+  };
+
+ public:
+  const char* name() const override {
+    return Policy::skip_pending ? "parking-fanout"
+                                : "parking-fanout-broken-merge";
+  }
+  int threads() const override { return 3; }
+
+  void setup() override { st_ = std::make_unique<state>(); }
+
+  void run(int t) override {
+    state& s = *st_;
+    if (t == 0) {
+      poster(s);
+      return;
+    }
+    member(s, static_cast<std::uint32_t>(t));
+  }
+
+  void check_final() override {
+    const state& s = *st_;
+    check(s.member_done[0] && s.member_done[1], "a team member did not finish");
+    check(s.chunk_runs == 1, "loop 1 chunk not run exactly once");
+    check(s.blocks_run.raw() == 2, "a loop 2 block did not run");
+    check(s.sent == s.received[0] + s.received[1],
+          "lost wakeup: unpark_n reported a wake that no waiter received (two "
+          "wakes merged into one signal)");
+    check(s.lot.waiters() == 0, "waiter count leaked");
+  }
+
+ private:
+  static void take_chunk(state& s) {
+    std::uint32_t expect = 0;
+    if (s.chunk.load(std::memory_order_seq_cst) != 0 &&
+        s.claimed.compare_exchange_strong(expect, 1,
+                                          std::memory_order_seq_cst)) {
+      ++s.chunk_runs;
+    }
+  }
+
+  static void poster(state& s) {
+    s.chunk.store(1, std::memory_order_seq_cst);
+    s.sent += s.lot.unpark_n(1);
+    take_chunk(s);
+    s.blocks.store(1, std::memory_order_seq_cst);
+    s.sent += s.lot.unpark_n(2);
+  }
+
+  void member(state& s, std::uint32_t slot) {
+    std::uint32_t& received = s.received[slot - 1];
+    const auto work_visible = [&] {
+      return s.blocks.load(std::memory_order_seq_cst) != 0 ||
+             (s.chunk.load(std::memory_order_seq_cst) != 0 &&
+              s.claimed.load(std::memory_order_seq_cst) == 0);
+    };
+    for (;;) {
+      take_chunk(s);
+      if (s.blocks.load(std::memory_order_seq_cst) != 0) break;
+      const std::uint32_t ticket = s.lot.prepare_park(slot);
+      if (work_visible()) {
+        if (s.lot.cancel_park(slot)) ++received;
+        continue;
+      }
+      const auto res = s.lot.park(slot, ticket, std::chrono::milliseconds(1));
+      check(res.reason != lot_t::wake_reason::timeout,
+            "park resolved to a backstop timeout under the harness (a wake "
+            "edge is missing)");
+      if (res.reason == lot_t::wake_reason::notified) ++received;
+    }
+    s.blocks_run.fetch_add(1, std::memory_order_seq_cst);
+    s.member_done[slot - 1] = true;
+  }
+
+  std::unique_ptr<state> st_;
+};
+
 }  // namespace
+
+std::unique_ptr<model> make_parking_fanout_model(bool broken_merge_pending) {
+  if (broken_merge_pending) {
+    return std::make_unique<fanout_model<rt::parking_policy_merge_pending>>();
+  }
+  return std::make_unique<fanout_model<rt::parking_policy_default>>();
+}
 
 std::unique_ptr<model> make_parking_model(bool broken_skip_recheck) {
   return std::make_unique<parking_model>(broken_skip_recheck);

@@ -1,6 +1,7 @@
 // Parking subsystem suite: the per-worker parking_lot protocol (prepare /
-// cancel / park / unpark), the runtime wake path built on it, the
-// wake-latency regression that replaced the old 200 µs poll, and a
+// cancel / park / unpark / unpark_n), the runtime wake path built on it,
+// the wake-latency regression that replaced the old 200 µs poll, the
+// whole-team arrival of a static loop posted to a parked runtime, and a
 // chaos-seeded run that shakes the park/unpark edges under fault injection.
 #include "runtime/parking.h"
 
@@ -27,7 +28,7 @@ TEST(ParkingLot, CancelLeavesNoWaiters) {
   EXPECT_EQ(pl.waiters(), 0u);
   (void)pl.prepare_park(2);
   EXPECT_EQ(pl.waiters(), 1u);
-  pl.cancel_park(2);
+  EXPECT_FALSE(pl.cancel_park(2));  // no wake had landed
   EXPECT_EQ(pl.waiters(), 0u);
   EXPECT_FALSE(pl.unpark_one());  // nobody to wake
 }
@@ -136,6 +137,26 @@ TEST(ParkingLot, UnparkOneSkipsWaiterWithUnconsumedWake) {
   EXPECT_FALSE(pl.park(1, t2, 10ms).waited);
 }
 
+// Fan-out: one unpark_n reaches up to k distinct waiters and reports how
+// many it reached. A waiter still holding an unconsumed wake neither gets
+// a second one nor uses up the budget, so the count is the number of
+// waiters that will really wake.
+TEST(ParkingLot, UnparkNWakesDistinctWaitersAndCountsThem) {
+  parking_lot pl(4);
+  const std::uint32_t t1 = pl.prepare_park(1);
+  const std::uint32_t t2 = pl.prepare_park(2);
+  const std::uint32_t t3 = pl.prepare_park(3);
+  EXPECT_EQ(pl.unpark_n(0), 0u);
+  EXPECT_EQ(pl.unpark_n(1), 1u);
+  EXPECT_EQ(pl.unpark_n(3), 2u);  // the pending waiter is skipped
+  EXPECT_EQ(pl.unpark_n(3), 0u);  // every waiter already holds a wake
+  // Each waiter consumes exactly one wake without blocking.
+  EXPECT_FALSE(pl.park(1, t1, 10ms).waited);
+  EXPECT_FALSE(pl.park(2, t2, 10ms).waited);
+  EXPECT_FALSE(pl.park(3, t3, 10ms).waited);
+  EXPECT_EQ(pl.waiters(), 0u);
+}
+
 // A wake delivered between prepare_park and cancel_park is consumed by the
 // cancel (the canceller is awake and about to process the work it saw); it
 // must not linger and block the slot from receiving future wakes.
@@ -143,7 +164,7 @@ TEST(ParkingLot, CancelConsumesPendingWake) {
   parking_lot pl(1);
   (void)pl.prepare_park(0);
   EXPECT_TRUE(pl.unpark_one());
-  pl.cancel_park(0);
+  EXPECT_TRUE(pl.cancel_park(0));
   EXPECT_EQ(pl.waiters(), 0u);
   const std::uint32_t ticket = pl.prepare_park(0);
   EXPECT_TRUE(pl.unpark_one());
@@ -225,6 +246,39 @@ TEST(RuntimeWake, PostedTaskPickupBeatsThePollInterval) {
   // (The bound is loose — locally this measures ~5-30 µs — to stay green
   // under sanitizers and CI load.)
   EXPECT_LT(median_us, 150.0) << "median pickup latency regressed";
+}
+
+// Regression (team arrival): a board post used to wake one parked worker,
+// and a static block runs only on its owner, so every other owner slept
+// out the park backstop before its block could start. With a 1 s backstop
+// that wait is unmistakable; the post must now wake the whole parked team.
+TEST(RuntimeWake, StaticPostWakesTheWholeParkedTeam) {
+  constexpr std::uint32_t kWorkers = 4;
+  runtime_options o;
+  o.num_workers = kWorkers;
+  o.park_backstop = 1s;
+  runtime rt(o);
+  // Let the three background workers go idle and park.
+  while (rt.parking().waiters() != kWorkers - 1) {
+    std::this_thread::sleep_for(100us);
+  }
+  const std::uint64_t wakes_before = rt.tel().totals().wakes_sent;
+  std::vector<std::atomic<std::uint32_t>> ran_on(kWorkers);
+  for (auto& r : ran_on) r.store(kWorkers, std::memory_order_relaxed);
+  const auto t0 = std::chrono::steady_clock::now();
+  parallel_for(rt, 0, kWorkers, policy::static_part,
+               [&](std::int64_t lo, std::int64_t hi) {
+                 for (std::int64_t i = lo; i < hi; ++i) {
+                   ran_on[static_cast<std::size_t>(i)].store(
+                       rt.current_worker().id(), std::memory_order_relaxed);
+                 }
+               });
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(dt, 50ms) << "a static owner waited for the park backstop";
+  for (std::uint32_t b = 0; b < kWorkers; ++b) {
+    EXPECT_EQ(ran_on[b].load(), b) << "block " << b << " left its owner";
+  }
+  EXPECT_GE(rt.tel().totals().wakes_sent - wakes_before, kWorkers - 1);
 }
 
 TEST(RuntimeWake, WakeCountersAccountTargetedWakes) {

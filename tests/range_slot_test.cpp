@@ -393,6 +393,40 @@ TEST(RangeSpan, NestedLoopInsideSpanFallsBackAndCompletes) {
   }
 }
 
+// Regression (freed loop_ctx read): a worker waiting on a nested loop
+// inside its own open span steals half of a peer's outer span; its slot is
+// busy, so run_stolen runs the range serially. The last of those chunks
+// may retire the outer loop, which lets the poster return and free the
+// loop's context — the serial loop used to re-read ctx->grain after that.
+// Many short outer loops make the retire-then-free window common; under
+// TSAN/ASan the old read is reported, and exactly-once must hold anyway.
+TEST(RangeSpan, StolenRangeIntoBusySlotNeverReadsRetiredLoop) {
+  rt::runtime rt(4);
+  constexpr std::int64_t kOuter = 64;
+  constexpr std::int64_t kInner = 64;
+  loop_options outer_opt;
+  outer_opt.grain = 2;  // stolen outer ranges exceed the grain
+  std::vector<std::atomic<int>> hits(
+      static_cast<std::size_t>(kOuter * kInner));
+  for (int rep = 0; rep < 100; ++rep) {
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    const loop_result res = for_each(
+        rt, 0, kOuter, policy::dynamic_ws,
+        [&](std::int64_t o) {
+          for_each(rt, 0, kInner, policy::dynamic_ws, [&](std::int64_t i) {
+            hits[static_cast<std::size_t>(o * kInner + i)].fetch_add(
+                1, std::memory_order_relaxed);
+          });
+        },
+        outer_opt);
+    ASSERT_TRUE(res.ok());
+    for (std::int64_t i = 0; i < kOuter * kInner; ++i) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << "rep " << rep << " iteration " << i;
+    }
+  }
+}
+
 TEST(RangeSpan, ExplicitGrainBoundsTraceChunks) {
   rt::runtime rt(4);
   trace::loop_trace tr(4);

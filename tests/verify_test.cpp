@@ -1,6 +1,6 @@
 // The verification suite: bounded-exhaustive model checks of the shipping
 // protocol cores (claim + bitmap claim flags, ws_deque, range_slot's
-// two-word 64-bit layout, parking) against the exact templates the
+// two-word 64-bit layout, parking and its unpark_n fan-out) against the exact templates the
 // runtime instantiates, plus the negative half of the argument — the
 // deliberately-broken protocol variants that the harness must catch, each
 // with a replayable failing schedule. A harness that cannot detect a
@@ -81,6 +81,18 @@ TEST(VerifyParking, NoLostWakeupExhaustiveBound3) {
   const auto res = explore(*m, exhaustive(3));
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_TRUE(res.exhausted);
+}
+
+TEST(VerifyParkingFanout, EveryDeliveredWakeReachesAWaiterExhaustiveBound2) {
+  // unpark_n fan-out: one unpark_n(2) must bring both parked team members
+  // to their blocks, with a still-pending wake from the previous post in
+  // the mix, and every wake it counts must be received by a waiter. Bound
+  // 2 keeps this in ctest time; ci.sh's deep sweep re-runs at bound 3.
+  auto m = make_parking_fanout_model(false);
+  const auto res = explore(*m, exhaustive(2));
+  EXPECT_TRUE(res.ok) << res.failure;
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_GT(res.executions, 1000u);
 }
 
 TEST(VerifyParkingBackoff, CompletionEdgeNeverLostExhaustiveBound3) {
@@ -169,6 +181,16 @@ TEST(VerifyBroken, ParkingWithoutRecheckIsCaught) {
                                make_parking_model(true), 3);
   const auto res = explore(*make_parking_model(true), exhaustive(3));
   EXPECT_NE(res.failure.find("deadlock"), std::string::npos) << res.failure;
+}
+
+TEST(VerifyBroken, ParkingFanoutMergedWakeIsCaught) {
+  // Letting unpark_n re-bump a slot whose wake is still pending merges two
+  // wakes into one signal: the fan-out reports a wake no waiter receives.
+  expect_caught_and_replayable(make_parking_fanout_model(true),
+                               make_parking_fanout_model(true), 2);
+  const auto res = explore(*make_parking_fanout_model(true), exhaustive(2));
+  EXPECT_NE(res.failure.find("lost wakeup"), std::string::npos)
+      << res.failure;
 }
 
 TEST(VerifyBroken, BackoffWithoutRetireBroadcastIsCaught) {
