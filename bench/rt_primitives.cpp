@@ -19,6 +19,7 @@
 #include "runtime/task.h"
 #include "runtime/task_pool.h"
 #include "sched/loop.h"
+#include "sched/reduce.h"
 
 namespace {
 
@@ -241,12 +242,36 @@ BENCHMARK(BM_ParallelForDispatch<policy::guided>)
     ->Args({2, 1 << 12})
     ->Name("BM_ParallelFor/guided");
 
+// A short loop at P = 4: the cg_fine dot product (parallel_sum over two
+// 7000-element vectors, a few microseconds of iterations), so the loop's
+// fixed cost — entry, board post and wakes, retire and join — is a large
+// share of each call.
+template <policy Pol>
+void BM_ParallelForDot(benchmark::State& state) {
+  rt::runtime rt(static_cast<std::uint32_t>(state.range(0)));
+  const std::int64_t n = state.range(1);
+  const std::vector<double> a(static_cast<std::size_t>(n), 1.0);
+  const std::vector<double> b(static_cast<std::size_t>(n), 0.5);
+  for (auto _ : state) {
+    const double d = parallel_sum<double>(rt, 0, n, Pol, [&](std::int64_t i) {
+      return a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(i)];
+    });
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ParallelForDot<policy::hybrid>)
+    ->Args({4, 7000})
+    ->Name("BM_ParallelFor/hybrid");
+BENCHMARK(BM_ParallelForDot<policy::static_part>)
+    ->Args({4, 7000})
+    ->Name("BM_ParallelFor/static");
+
 // Per-iteration scheduling overhead of a fine-grained span (grain = 1, empty
 // body): lazy range splitting (the range_slot path) vs the eager
 // subtask-per-chunk path it replaced, selected by loop_options::
-// eager_subtasks. Eager pays a pool alloc + deque push/pop + virtual call +
-// two shared_ptr refcount RMWs per chunk; lazy pays an amortized fraction of
-// one reserve CAS. The p=1 pair isolates that per-chunk cost with no steal
+// eager_subtasks. Eager pays a pool alloc + deque push/pop + virtual call
+// per chunk; lazy pays an amortized fraction of one reserve CAS. The p=1 pair isolates that per-chunk cost with no steal
 // traffic; the p=4 pair shows the contended picture.
 void BM_SpanOverhead(benchmark::State& state) {
   rt::runtime rtm(static_cast<std::uint32_t>(state.range(0)));

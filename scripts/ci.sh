@@ -135,6 +135,8 @@ assert any("BM_BatchSteal" in n for n in names), names
 assert any("BM_SpanOverhead" in n for n in names), names
 assert any("BM_SpanOverhead/huge" in n for n in names), names
 assert any("BM_SpanOverhead/handoff" in n for n in names), names
+assert "BM_ParallelFor/hybrid/4/7000" in names, names
+assert "BM_ParallelFor/static/4/7000" in names, names
 EOF
 
 # Huge-N smoke under a hard address-space cap: 2^33-iteration loops on the
@@ -258,12 +260,16 @@ ctest --test-dir build-ubsan --output-on-failure
 # ASan+LSan: heap corruption and leaks across the full suite. LSan needs
 # ptrace (CAP_SYS_PTRACE); sandboxed/containerized hosts that cannot
 # ptrace skip with a notice rather than failing on the harness itself.
+# detect_stack_use_after_return: a loop's state lives in its poster's
+# parallel_for frame, so a late read of it is a read of a returned frame,
+# which plain ASan does not see.
 echo 'int main(){return 0;}' > build/asan_probe.c
 if cc -fsanitize=address build/asan_probe.c -o build/asan_probe 2>/dev/null && \
    ASAN_OPTIONS=detect_leaks=1 ./build/asan_probe 2>/dev/null; then
   cmake -B build-asan -G Ninja -DHLS_SANITIZE=address
   cmake --build build-asan
-  ASAN_OPTIONS=detect_leaks=1 ctest --test-dir build-asan --output-on-failure
+  ASAN_OPTIONS=detect_leaks=1:detect_stack_use_after_return=1 \
+    ctest --test-dir build-asan --output-on-failure
 else
   echo "== ASan+LSan: leak detection unavailable on this host (no ptrace), skipping"
 fi

@@ -6,17 +6,21 @@
 
 namespace hls::rt {
 
-int board::post(std::shared_ptr<loop_record> rec, std::uint32_t poster) {
+int board::post(loop_record* rec, std::uint32_t poster) {
   std::lock_guard<std::mutex> lk(mu_);
   for (int s = 0; s < kSlots; ++s) {
-    if (slots_[s].keeper == nullptr) {
-      slots_[s].keeper = std::move(rec);
+    if (!slots_[s].occupied) {
+      slots_[s].occupied = true;
+      ++open_;
       // release publishes the record's fields to visitors' confirming
       // ptr re-read (visit()/request_rescue()).
-      slots_[s].ptr.store(slots_[s].keeper.get(), std::memory_order_release);
+      slots_[s].ptr.store(rec, std::memory_order_release);
       if (poster != kNoPoster) {
         poster_.store(poster, std::memory_order_relaxed);
       }
+      // Posts serialize on mu_, so a plain increment suffices.
+      posts_.store(posts_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
       return s;
     }
   }
@@ -32,22 +36,15 @@ void board::clear(int s) {
   // Wait out visitors that announced themselves before the unpublish; a
   // finished record's participate() returns promptly, so this is brief.
   // acquire pairs with visitors' release fetch_sub: their record use
-  // happens-before keeper.reset() once the count reads zero.
+  // happens-before this return, after which the poster frees the record.
   while (slots_[s].readers.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
   std::lock_guard<std::mutex> lk(mu_);
-  slots_[s].keeper.reset();
+  slots_[s].occupied = false;
   // Drop the affinity hint once the board drains, so thieves stop paying a
   // probe for a loop that no longer exists.
-  bool open = false;
-  for (int i = 0; i < kSlots; ++i) {
-    if (slots_[i].keeper != nullptr) {
-      open = true;
-      break;
-    }
-  }
-  if (!open) poster_.store(kNoPoster, std::memory_order_relaxed);
+  if (--open_ == 0) poster_.store(kNoPoster, std::memory_order_relaxed);
 }
 
 bool board::visit(worker& w) {
@@ -84,7 +81,7 @@ void board::request_rescue() noexcept {
     sl.readers.fetch_add(1, std::memory_order_seq_cst);
     // Same Dekker re-read as visit(): either the record is still
     // published here, or clear() unpublished it and now waits for the
-    // reader count to drain before dropping the keeper.
+    // reader count to drain before the record may be freed.
     // ordlint: seq_cst because the confirming read of the Dekker pair must not hoist above the announce
     loop_record* rec = sl.ptr.load(std::memory_order_seq_cst);
     if (rec != nullptr && !rec->finished()) rec->request_rescue();

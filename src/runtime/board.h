@@ -7,20 +7,19 @@
 // earmarked static block, grab chunks from the shared queue, or run the
 // hybrid DoHybridLoop protocol under its own worker ID.
 //
-// Lifetime protocol: post/clear are rare (once per loop) and serialize on a
+// Lifetime protocol: the board owns nothing. A record lives in its
+// poster's frame (sched/parallel_for.cpp), which must not return before
+// clear() does. post/clear are rare (once per loop) and serialize on a
 // mutex; the hot visit path is lock-free. Each slot pairs a raw published
 // pointer with a visitor reader count: clear() unpublishes the pointer and
-// then waits for in-flight visitors of that slot before dropping the
-// keeper reference, and visitors re-check the pointer after announcing
-// themselves, so either the visitor sees the unpublish or clear waits.
-// (std::atomic<std::shared_ptr> would also work but its libstdc++
-// implementation takes an internal spinlock per access and is not
-// TSAN-clean.)
+// then waits for in-flight visitors of that slot before it frees the slot
+// (and the poster frees the record), and visitors re-check the pointer
+// after announcing themselves, so either the visitor sees the unpublish or
+// clear waits.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 
 #include "util/cacheline.h"
@@ -71,11 +70,13 @@ class board {
   // can still split its open spans through ordinary steals; only
   // board-mediated arrival is lost. `poster` (a worker id)
   // records who posted, feeding the thieves' victim-affinity heuristic.
-  int post(std::shared_ptr<loop_record> rec, std::uint32_t poster = kNoPoster);
+  // The record is not owned: it must outlive the matching clear().
+  int post(loop_record* rec, std::uint32_t poster = kNoPoster);
 
-  // Unpublishes the slot and blocks until in-flight visitors leave it.
-  // Must only be called after the loop has finished (visitors of a
-  // finished record return promptly).
+  // Unpublishes the slot and blocks until in-flight visitors leave it;
+  // once it returns no visitor touches the record again. Must only be
+  // called after the loop has finished (visitors of a finished record
+  // return promptly).
   void clear(int slot);
 
   // Lets worker w participate in open loops, innermost (most recently
@@ -101,22 +102,36 @@ class board {
     return poster_.load(std::memory_order_relaxed);
   }
 
+  // Number of posts so far. A steal round compares it with the value it
+  // read before its board visit and ends early when it moved: a new loop
+  // is better work than another random probe. Racy and advisory — a stale
+  // read costs one probe, or one visit that finds nothing.
+  std::uint64_t posts() const noexcept {
+    return posts_.load(std::memory_order_relaxed);
+  }
+
  private:
   struct slot {
     // Dekker pair between visit's (readers++; re-read ptr) and clear's
     // (ptr = null; drain readers): the announce fetch_add and the
     // unpublish store are seq_cst so the two sides cannot both miss each
     // other; the retire fetch_sub (release) pairs with the drain load
-    // (acquire) to order record use before keeper.reset(). Full table:
-    // docs/runtime.md#board-ordering, contract: board.contract.toml.
+    // (acquire) to order record use before clear() returns and the poster
+    // frees the record. Full table: docs/runtime.md#board-contract,
+    // contract: board.contract.toml.
     std::atomic<loop_record*> ptr{nullptr};
     alignas(kCacheLine) std::atomic<int> readers{0};
-    std::shared_ptr<loop_record> keeper;  // guarded by mu_
+    // Taken by post, freed by clear after the drain: a slot whose record
+    // is unpublished but still has visitors is not reused.
+    bool occupied = false;  // guarded by mu_
   };
 
   std::mutex mu_;  // post/clear bookkeeping only
   slot slots_[kSlots];
+  int open_ = 0;   // occupied slots; guarded by mu_
+  // Written together by post and read together by steal rounds.
   std::atomic<std::uint32_t> poster_{kNoPoster};
+  std::atomic<std::uint64_t> posts_{0};
 };
 
 }  // namespace hls::rt

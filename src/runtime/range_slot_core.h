@@ -6,8 +6,8 @@
 // region [split, hi) lives in two 64-bit words — both offsets from an
 // owner-written base — so full 64-bit spans stay on the zero-alloc path:
 // `split` is raised only by the owner (reserve) and `hi` is lowered only
-// by thieves (steal upper half). Nothing is allocated and no shared_ptr
-// refcount is touched unless a steal actually happens; a stolen range
+// by thieves (steal upper half). Nothing is allocated unless a steal
+// actually happens; a stolen range
 // seeds the thief's own slot, so splitting stays recursive and the
 // divide-and-conquer span bound (Corollary 6) is preserved.
 //

@@ -53,6 +53,11 @@ bool worker::try_consume_handoff() { return try_consume_handoff_from(id_); }
 bool worker::try_consume_handoff_from(std::uint32_t v) {
   handoff_item it;
   if (!rt_.handoff_of(v).try_take(it)) return false;
+  run_handoff(it);
+  return true;
+}
+
+void worker::run_handoff(handoff_item& it) {
   telemetry::bump(tel_.counters.handoffs_consumed);
   // Affinity follows the donor: a worker with surplus to push is the most
   // likely place the next steal lands.
@@ -64,7 +69,6 @@ bool worker::try_consume_handoff_from(std::uint32_t v) {
   } else {
     run(it.t);
   }
-  return true;
 }
 
 // Picks a deposit target and claims its mailbox. Returns nullptr when the
@@ -218,19 +222,47 @@ void worker::drain_local() {
   while (task* t = pop_local()) run(t);
 }
 
-bool worker::try_steal_round() {
+worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
+                                          park_predicate done) {
   const std::uint32_t p = rt_.num_workers();
-  if (p <= 1) return false;
+  if (p <= 1) return round_end::miss;
   faultsim::injector* chaos = rt_.chaos();
   if (chaos != nullptr && chaos->maybe_delay(id_)) {
     telemetry::bump(tel_.counters.faults_injected);
   }
+  const board& brd = rt_.loop_board();
   const std::uint64_t t0 = tel_.now();
   std::uint64_t probes = 0;
+  round_end end = round_end::miss;
 
-  // Probes one victim; on success a batch (up to half the victim's visible
-  // tasks) lands in the local deque and the oldest stolen task runs.
+  // The round's one accounting path, called once per round: for a hit as
+  // the work is acquired (before it runs), for a miss or an early end as
+  // the round returns. Every probe made counts in steal_probes.
+  const auto settle = [&](round_end how, std::uint32_t v, bool affinity) {
+    end = how;
+    telemetry::bump(tel_.counters.steal_probes, probes);
+    if (probes > 0) tel_.steal_probe_hist.record(probes);
+    if (end != round_end::hit) return;
+    telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
+    if (affinity) telemetry::bump(tel_.counters.affinity_hits);
+    last_victim_ = v;
+  };
+
+  // Probes one victim. Returns true when the round is over: the probe hit
+  // (the stolen work has run), or the round ended before probing because a
+  // loop was posted since the caller's board visit — better work than any
+  // probe — or the caller's wait is over. On a deque hit a batch (up to
+  // half the victim's visible tasks) lands in the local deque and the
+  // oldest stolen task runs.
   const auto probe = [&](std::uint32_t v, bool affinity) -> bool {
+    if (brd.posts() != posts_seen) {
+      end = round_end::posted;
+      return true;
+    }
+    if (done.satisfied()) {
+      end = round_end::done;
+      return true;
+    }
     ++probes;
     if (chaos != nullptr && chaos->fire(faultsim::hook::steal_probe, id_)) {
       // Forced empty probe: counts as a miss, the victim keeps its task.
@@ -248,56 +280,51 @@ bool worker::try_steal_round() {
         // Forced failed split CAS: the span stays whole for the owner.
         telemetry::bump(tel_.counters.faults_injected);
       } else if (range_slot::stolen s = rs.try_steal()) {
-        telemetry::bump(tel_.counters.steal_probes, probes);
+        settle(round_end::hit, v, affinity);
         telemetry::bump(tel_.counters.range_steals);
-        telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
-        if (affinity) telemetry::bump(tel_.counters.affinity_hits);
-        tel_.steal_probe_hist.record(probes);
         if (tel_.events_on()) {
           tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
                      s.hi - s.lo, telemetry::event_kind::range_steal});
         }
-        last_victim_ = v;
         s.run(*this, s.ctx, s.lo, s.hi);
         return true;
       }
     }
     std::uint32_t k = 0;
-    task* t = rt_.worker_at(v).deque().steal_batch(deque_, &k);
-    if (t == nullptr) {
-      // Last resort on this victim: poach its handoff mailbox. Normally
-      // the deposit's targeted wake delivers it to the addressee, but a
-      // stranded deposit (the donor lost its reclaim race, or a chaos-
-      // dropped wake) must not outlive the next steal round — this probe
-      // is the sweep that guarantees it.
-      if (rt_.handoff_of(v).full() && try_consume_handoff_from(v)) {
-        telemetry::bump(tel_.counters.steal_probes, probes);
-        telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
-        if (affinity) telemetry::bump(tel_.counters.affinity_hits);
-        tel_.steal_probe_hist.record(probes);
-        return true;
+    if (task* t = rt_.worker_at(v).deque().steal_batch(deque_, &k)) {
+      settle(round_end::hit, v, affinity);
+      telemetry::bump(tel_.counters.steals);
+      telemetry::bump(tel_.counters.batch_steal_tasks, k);
+      if (tel_.events_on()) {
+        tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
+                   static_cast<std::int64_t>(probes),
+                   telemetry::event_kind::steal});
       }
-      return false;
+      advertise_deque();
+      // Surplus tasks just landed in this deque; hand one straight to a
+      // parked peer (wake that carries work), or chain a plain wake so
+      // another idle worker picks them up while this one runs the first.
+      if (k > 1 && !donate_surplus_task()) rt_.notify_work();
+      run(t);
+      return true;
     }
-    telemetry::bump(tel_.counters.steal_probes, probes);
-    telemetry::bump(tel_.counters.steals);
-    telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
-    telemetry::bump(tel_.counters.batch_steal_tasks, k);
-    if (affinity) telemetry::bump(tel_.counters.affinity_hits);
-    tel_.steal_probe_hist.record(probes);
-    if (tel_.events_on()) {
-      tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
-                 static_cast<std::int64_t>(probes),
-                 telemetry::event_kind::steal});
+    // Last resort on this victim: poach its handoff mailbox. Normally the
+    // deposit's targeted wake delivers it to the addressee, but a stranded
+    // deposit (the donor lost its reclaim race, or a chaos-dropped wake)
+    // must not outlive the next steal round — this probe is the sweep that
+    // guarantees it.
+    handoff_item it;
+    if (rt_.handoff_of(v).full() && rt_.handoff_of(v).try_take(it)) {
+      settle(round_end::hit, v, affinity);
+      run_handoff(it);  // re-points last_victim_ at the donor
+      return true;
     }
-    last_victim_ = v;
-    advertise_deque();
-    // Surplus tasks just landed in this deque; hand one straight to a
-    // parked peer (wake that carries work), or chain a plain wake so
-    // another idle worker picks them up while this one runs the first.
-    if (k > 1 && !donate_surplus_task()) rt_.notify_work();
-    run(t);
-    return true;
+    return false;
+  };
+  // A hit settled as it happened; anything else settles here.
+  const auto finish = [&] {
+    if (end != round_end::hit) settle(end, kNoVictim, false);
+    return end;
   };
 
   // Affinity order: last successful victim first, then the board's poster
@@ -306,12 +333,12 @@ bool worker::try_steal_round() {
   std::uint32_t tried = kNoVictim;
   if (last_victim_ != kNoVictim && last_victim_ != id_ && last_victim_ < p) {
     tried = last_victim_;
-    if (probe(last_victim_, true)) return true;
+    if (probe(last_victim_, true)) return finish();
     last_victim_ = kNoVictim;  // went dry; forget it
   }
-  const std::uint32_t hint = rt_.loop_board().poster_hint();
+  const std::uint32_t hint = brd.poster_hint();
   if (hint != board::kNoPoster && hint != id_ && hint != tried && hint < p) {
-    if (probe(hint, true)) return true;
+    if (probe(hint, true)) return finish();
   }
   // Load-board pick: the most-loaded advertised victim, before rolling the
   // dice. The board is advisory (relaxed stores at the owners' work
@@ -319,8 +346,10 @@ bool worker::try_steal_round() {
   const std::uint32_t busiest = rt_.loads().busiest(id_);
   if (busiest < p && busiest != tried && busiest != hint) {
     if (probe(busiest, false)) {
-      telemetry::bump(tel_.counters.load_board_hits);
-      return true;
+      if (end == round_end::hit) {
+        telemetry::bump(tel_.counters.load_board_hits);
+      }
+      return finish();
     }
   }
   // Up to P random victim probes (standard randomized stealing; the round
@@ -329,14 +358,12 @@ bool worker::try_steal_round() {
     const auto victim =
         static_cast<std::uint32_t>(rng_.next_below(p - 1));
     const std::uint32_t v = victim >= id_ ? victim + 1 : victim;
-    if (probe(v, false)) return true;
+    if (probe(v, false)) return finish();
   }
-  telemetry::bump(tel_.counters.steal_probes, probes);
-  tel_.steal_probe_hist.record(probes);
-  return false;
+  return finish();
 }
 
-bool worker::try_progress() {
+bool worker::try_progress(park_predicate done) {
   // Mailbox first: a wake that carried work is consumed before any
   // probing, so the push-handoff path really is zero-steal-probe.
   if (try_consume_handoff()) return true;
@@ -348,11 +375,25 @@ bool worker::try_progress() {
   // pushes stops attracting probes (pops themselves don't republish — the
   // hot path stays store-free).
   advertise_deque();
-  if (rt_.loop_board().visit(*this)) {
-    telemetry::bump(tel_.counters.board_participations);
-    return true;
+  board& b = rt_.loop_board();
+  for (;;) {
+    // Read before the visit, so a post the visit may have missed ends the
+    // steal round below at its next probe.
+    const std::uint64_t posts_seen = b.posts();
+    if (b.visit(*this)) {
+      telemetry::bump(tel_.counters.board_participations);
+      return true;
+    }
+    switch (try_steal_round(posts_seen, done)) {
+      case round_end::hit:
+      case round_end::done:
+        return true;
+      case round_end::miss:
+        return false;
+      case round_end::posted:
+        break;  // straight back to the board, not through a pause rung
+    }
   }
-  return try_steal_round();
 }
 
 void worker::pause(int idle_count, park_predicate done) {

@@ -64,8 +64,11 @@ class worker {
   void run(task* t);
 
   // One scheduling step: handoff mailbox, local pop, board visit, or one
-  // round of steal attempts. Returns true if progress was made.
-  bool try_progress();
+  // round of steal attempts. Returns true if progress was made, or if
+  // `done` (the caller's work_until predicate) came to hold during the
+  // steal round. A round that ends early because a loop was posted goes
+  // straight back to the board visit instead of returning.
+  bool try_progress(park_predicate done = {});
 
   // ---- push-based work handoff (docs/runtime.md) --------------------
   // Consumes this worker's own handoff mailbox, if full: runs the payload
@@ -134,13 +137,14 @@ class worker {
   // announced (the predicate flipped, but there was nobody to unpark).
   template <typename Pred>
   void work_until(Pred&& pred) {
+    const park_predicate done(pred);
     int idle = 0;
     while (!pred()) {
-      if (try_progress()) {
+      if (try_progress(done)) {
         idle = 0;
         continue;
       }
-      pause(++idle, park_predicate(pred));
+      pause(++idle, done);
     }
   }
 
@@ -161,11 +165,22 @@ class worker {
   static constexpr int kBackoffAfter = 2;
   static constexpr int kMaxBackoffLevel = 7;  // 2us << 7 = 256us cap input
 
+  // How a steal round ended: work was stolen and run, every probe missed,
+  // or it stopped before a probe because a loop was posted since the
+  // caller's board visit (`posted`) or the caller's wait is over (`done`).
+  enum class round_end : std::uint8_t { hit, miss, posted, done };
+
   // One round of steal attempts: affinity probes first (last successful
   // victim, then the board's poster hint), then the load board's
   // most-loaded advertisement, then random victims. Successful probes use
-  // batched stealing (ws_deque::steal_batch).
-  bool try_steal_round();
+  // batched stealing (ws_deque::steal_batch). `posts_seen` is the board's
+  // post count read before the caller's visit; it and `done` are checked
+  // before every probe.
+  round_end try_steal_round(std::uint64_t posts_seen, park_predicate done);
+
+  // Runs a payload taken from a handoff mailbox and adopts its donor as
+  // the victim-affinity hint.
+  void run_handoff(handoff_item& it);
 
   // Handoff donor plumbing (worker.cpp): target selection + mailbox claim,
   // and the wake-or-reclaim tail shared by both donate paths.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 
 #include "faultsim/faultsim.h"
 #include "sched/policies.h"
@@ -163,18 +164,20 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     return {};
   }
 
-  auto ctx = std::make_shared<sched::loop_ctx>(begin, end, body, grain,
-                                               opt.trace);
-  ctx->eager_split = opt.eager_subtasks;
-  ctx->cancel = cancel_flag;
+  // The loop's state lives in this frame (sched/policies.h, loop_ctx):
+  // nothing below returns before the loop has joined and its board slot
+  // is cleared, so every pointer peers hold to it dies unused.
+  sched::loop_ctx ctx(begin, end, body, grain, opt.trace);
+  ctx.eager_split = opt.eager_subtasks;
+  ctx.cancel = cancel_flag;
   if (opt.deadline.count() > 0) {
-    ctx->deadline_at_ns = telemetry::steady_now_ns() +
-                          static_cast<std::uint64_t>(opt.deadline.count());
+    ctx.deadline_at_ns = telemetry::steady_now_ns() +
+                         static_cast<std::uint64_t>(opt.deadline.count());
   }
 
   const auto result_of = [&ctx]() -> loop_result {
     loop_result res;
-    switch (ctx->stop.load(std::memory_order_acquire)) {
+    switch (ctx.stop.load(std::memory_order_acquire)) {
       case sched::loop_ctx::kCancelled:
         res.status = loop_status::cancelled;
         break;
@@ -184,20 +187,18 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
       default:
         break;
     }
-    res.skipped = ctx->skipped.load(std::memory_order_acquire);
+    res.skipped = ctx.skipped.load(std::memory_order_acquire);
     return res;
   };
 
   if (pol == policy::serial) {
-    // Serial with a cancel token or deadline: chunked through run_chunk so
+    // Serial with a cancel token or deadline: chunked through run_range so
     // stop polling, skip accounting, and counters behave like the parallel
     // policies.
     probe.setup_done();
-    for (std::int64_t lo = begin; lo < end; lo += grain) {
-      ctx->run_chunk(me, lo, std::min(end, lo + grain));
-    }
+    ctx.run_range(me, begin, end);
     probe.work_done();
-    ctx->rethrow_if_failed();
+    ctx.rethrow_if_failed();
     const loop_result res = result_of();
     probe.commit(opt.site, opt.label, pol, 0, grain, n,
                  static_cast<std::uint8_t>(res.status), res.skipped,
@@ -207,7 +208,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
 
   // Admission gate (runtime_options::max_inflight_loops): past the
   // in-flight limit the runtime sheds load by serializing the newcomer on
-  // its posting worker — bounded chunks through run_chunk, so cancel /
+  // its posting worker — bounded chunks through run_range, so cancel /
   // deadline / skip accounting behave exactly like the parallel paths —
   // instead of piling more records onto the board. RAII so every exit
   // (including body rethrow) releases the admitted slot.
@@ -223,11 +224,9 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   if (!gate.admitted) {
     telemetry::bump(me.tel().counters.gated_loops);
     probe.setup_done();
-    for (std::int64_t lo = begin; lo < end; lo += grain) {
-      ctx->run_chunk(me, lo, std::min(end, lo + grain));
-    }
+    ctx.run_range(me, begin, end);
     probe.work_done();
-    ctx->rethrow_if_failed();
+    ctx.rethrow_if_failed();
     const loop_result res = result_of();
     probe.commit(opt.site, opt.label, pol, 0, grain, n,
                  static_cast<std::uint8_t>(res.status), res.skipped,
@@ -241,10 +240,10 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     // stealing only — the upper half off the slot (or, on the eager
     // fallback paths, divide-and-conquer subtasks off the deque).
     probe.setup_done();
-    sched::range_span::run(me, ctx, begin, end);
+    sched::range_span::run(me, &ctx, begin, end);
     probe.work_done();
-    me.work_until([&] { return ctx->finished(); });
-    ctx->rethrow_if_failed();
+    me.work_until([&] { return ctx.finished(); });
+    ctx.rethrow_if_failed();
     const loop_result res = result_of();
     probe.commit(opt.site, opt.label, pol, 0, grain, n,
                  static_cast<std::uint8_t>(res.status), res.skipped,
@@ -253,7 +252,13 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   }
 
   std::uint32_t eff_parts = 0;  // effective R; stays 0 for non-hybrid
-  std::shared_ptr<rt::loop_record> rec;
+  // The policy record, in this frame like ctx. Declared after ctx, so it
+  // is destroyed first.
+  std::variant<std::monostate, sched::static_record,
+               sched::shared_queue_record, sched::guided_record,
+               sched::hybrid_record>
+      records;
+  rt::loop_record* rec = nullptr;
   // Units of work the record can hand out at once, capped at P below: the
   // board post wakes that many workers minus the poster, so every worker
   // the loop can use arrives at once (PAPER.md §1, steps 1-2) instead of
@@ -262,24 +267,24 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   // wakes the whole team.
   std::int64_t units = p;
   if (pol == policy::static_part) {
-    rec = std::make_shared<sched::static_record>(ctx, p);
+    rec = &records.emplace<sched::static_record>(ctx, p);
   } else if (pol == policy::dynamic_shared) {
     const std::int64_t chunk =
         opt.chunk > 0 ? opt.chunk : default_grain(n, p);
     units = (n - 1) / chunk + 1;
-    rec = std::make_shared<sched::shared_queue_record>(ctx, chunk);
+    rec = &records.emplace<sched::shared_queue_record>(ctx, chunk);
   } else if (pol == policy::guided) {
     units = (n - 1) / opt.min_chunk + 1;
-    rec = std::make_shared<sched::guided_record>(ctx, opt.min_chunk, p);
+    rec = &records.emplace<sched::guided_record>(ctx, opt.min_chunk, p);
   } else {
     const std::uint32_t parts = opt.partitions > 0 ? opt.partitions : p;
     eff_parts = parts;
     units = std::min<std::int64_t>(parts, n);
     if (opt.iteration_weight) {
-      rec = std::make_shared<sched::hybrid_record>(ctx, parts,
+      rec = &records.emplace<sched::hybrid_record>(ctx, parts,
                                                    opt.iteration_weight);
     } else {
-      rec = std::make_shared<sched::hybrid_record>(ctx, parts);
+      rec = &records.emplace<sched::hybrid_record>(ctx, parts);
     }
   }
 
@@ -304,14 +309,14 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     // Board overflow: strict static needs every worker to arrive, which
     // cannot be guaranteed without a slot. Degrade to executing the
     // whole range on the posting worker (correctness over placement).
-    ctx->run_chunk(me, begin, end);
+    ctx.run_chunk(me, begin, end);
   } else if (slot < 0) {
     // No slot means no other worker can discover this record, so the
     // posting worker must drive it to completion itself. One participate()
     // call is not enough: under chaos a forced peek failure can make it
     // return without doing anything, so loop until the record drains
     // (try_progress keeps stolen subtasks of hybrid partitions moving).
-    while (!ctx->finished()) {
+    while (!ctx.finished()) {
       if (!rec->participate(me) && !me.try_progress()) {
         std::this_thread::yield();
       }
@@ -320,9 +325,9 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     rec->participate(me);
   }
   probe.work_done();
-  me.work_until([&] { return ctx->finished(); });
+  me.work_until([&] { return ctx.finished(); });
   rt.loop_board().clear(slot);
-  ctx->rethrow_if_failed();
+  ctx.rethrow_if_failed();
   const loop_result res = result_of();
   probe.commit(opt.site, opt.label, pol, eff_parts, grain, n,
                static_cast<std::uint8_t>(res.status), res.skipped,

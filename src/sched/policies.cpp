@@ -27,7 +27,7 @@ bool loop_ctx::stop_requested(rt::worker& w) noexcept {
   return false;
 }
 
-void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
+void loop_ctx::run_body(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   if (lo >= hi) return;
   // Heartbeat at the chunk boundary (runtime/health.h): a worker stuck
   // inside one body stops beating and becomes visible to the watchdog.
@@ -43,8 +43,8 @@ void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   // only on the rare armed path (or reuses t0 when tracing already read it).
   if (tel.wake_pending()) tel.note_chunk_started(timed ? t0 : tel.now());
   // Drain mode: once a body has thrown or the loop was cancelled / timed
-  // out, remaining chunks skip their bodies but still retire, so the loop
-  // terminates and claim accounting stays consistent.
+  // out, remaining chunks skip their bodies but are still retired by the
+  // caller, so the loop terminates and claim accounting stays consistent.
   const bool skip =
       failed.load(std::memory_order_acquire) || stop_requested(w);
   if (!skip) {
@@ -80,7 +80,14 @@ void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
     tel.chunk_ns_hist.record(dt);
     tel.emit({t0, dt, lo, hi, telemetry::event_kind::chunk_span});
   }
-  // Retire the iterations even on failure/skip so the loop terminates.
+}
+
+void loop_ctx::run_range(rt::worker& w, std::int64_t lo, std::int64_t hi) {
+  if (lo >= hi) return;
+  for (std::int64_t cur = lo; cur < hi; cur += grain) {
+    run_body(w, cur, std::min(cur + grain, hi));
+  }
+  // Even on failure/skip, so the loop terminates.
   retire(w, hi - lo);
 }
 
@@ -119,10 +126,9 @@ namespace {
 // (std::bad_alloc out of the block pool's refill) or injected (the
 // faultsim alloc_fail hook). Callers degrade to bounded serial-chunk
 // execution of the range instead of aborting; exactly-once is preserved
-// because the serial chunks retire through run_chunk like any other.
-ws_subtask* try_new_subtask(rt::worker& w,
-                            const std::shared_ptr<loop_ctx>& ctx,
-                            std::int64_t lo, std::int64_t hi) {
+// because the serial range retires like any other.
+ws_subtask* try_new_subtask(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
+                            std::int64_t hi) {
   if (faultsim::injector* c = w.rt().chaos();
       c != nullptr && c->fire(faultsim::hook::alloc_fail, w.id())) {
     telemetry::bump(w.tel().counters.faults_injected);
@@ -137,28 +143,16 @@ ws_subtask* try_new_subtask(rt::worker& w,
   }
 }
 
-// Runs [lo, hi) serially in grain-sized chunks on this worker: the
-// pool-exhaustion fallback, and a stolen range that finds the thief's slot
-// busy. The grain is copied first: once the last chunk retires, the loop
-// may join and free ctx, so the loop must not read it again.
-void run_serial_chunks(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
-                       std::int64_t hi) {
-  const std::int64_t grain = ctx->grain;
-  for (std::int64_t cur = lo; cur < hi; cur += grain) {
-    ctx->run_chunk(w, cur, std::min(cur + grain, hi));
-  }
-}
-
 }  // namespace
 
-void ws_subtask::run_span(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
-                          std::int64_t lo, std::int64_t hi) {
+void ws_subtask::run_span(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
+                          std::int64_t hi) {
   while (hi - lo > ctx->grain) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     if (ws_subtask* t = try_new_subtask(w, ctx, mid, hi)) {
       w.push(t);
     } else {
-      run_serial_chunks(w, ctx.get(), mid, hi);
+      ctx->run_range(w, mid, hi);  // the pool-exhaustion fallback
     }
     hi = mid;
   }
@@ -174,25 +168,29 @@ void range_span::owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo) {
   for (;;) {
     // One RMW reserves the next max(grain, remaining/8) iterations; the
     // chunks inside a reservation then run with no shared-word traffic at
-    // all (cancellation/deadline/drain still poll per chunk in run_chunk).
+    // all (cancellation/deadline/drain still poll per chunk in run_body).
     const std::int64_t res = slot.reserve(cur);
     if (res <= cur) break;  // thieves consumed everything above cur
     ++refills;
     while (cur < res) {
       const std::int64_t end = std::min(cur + ctx->grain, res);
-      ctx->run_chunk(w, cur, end);
+      ctx->run_body(w, cur, end);
       cur = end;
     }
   }
-  // Nothing above can throw (run_chunk captures body exceptions), so the
-  // slot is always closed — and drained — before ctx may be rewritten or
-  // freed. Note the final reserve() only fails once the stealable region
-  // is empty, so no thief can split the span after its last chunk retires.
+  // Nothing above can throw (run_body captures body exceptions), so the
+  // slot is always closed — and drained — before the span retires and the
+  // loop may join. The final reserve() only fails once the stealable
+  // region is empty, so no thief can split the span after that.
   const bool split = slot.close();
   w.advertise_span(0);
   telemetry::worker_state& tel = w.tel();
   telemetry::bump(tel.counters.range_splits, refills);
   if (!split) telemetry::bump(tel.counters.spans_unsplit);
+  // One retire for everything the owner ran. Thieves retire what they took
+  // themselves; when they took it all the owner holds nothing, and must
+  // not touch ctx, which may already be gone.
+  if (cur > lo) ctx->retire(w, cur - lo);
 }
 
 void range_span::run_stolen(rt::worker& w, void* ctx_raw, std::int64_t lo,
@@ -208,7 +206,7 @@ void range_span::run_stolen(rt::worker& w, void* ctx_raw, std::int64_t lo,
     // The thief's slot is busy: this steal ran inside an open span (e.g. a
     // task_group wait nested in a chunk body). Run the range serially,
     // chunk by chunk — rare, and exactly-once is preserved either way.
-    run_serial_chunks(w, ctx, lo, hi);
+    ctx->run_range(w, lo, hi);
     return;
   }
   // The new span's upper half is stealable: advertise it, and when a peer
@@ -219,8 +217,8 @@ void range_span::run_stolen(rt::worker& w, void* ctx_raw, std::int64_t lo,
   owner_loop(w, ctx, lo);
 }
 
-void range_span::run(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
-                     std::int64_t lo, std::int64_t hi) {
+void range_span::run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
+                     std::int64_t hi) {
   if (lo >= hi) return;
   if (ctx->eager_split) {
     ws_subtask::run_span(w, ctx, lo, hi);
@@ -230,8 +228,7 @@ void range_span::run(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
     ctx->run_chunk(w, lo, hi);
     return;
   }
-  if (!w.range().open(ctx.get(), &range_span::run_stolen, lo, hi,
-                      ctx->grain)) {
+  if (!w.range().open(ctx, &range_span::run_stolen, lo, hi, ctx->grain)) {
     // Nested parallel loop inside a chunk body: the outer span still owns
     // this worker's slot, so the inner loop splits eagerly.
     ws_subtask::run_span(w, ctx, lo, hi);
@@ -244,14 +241,13 @@ void range_span::run(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
   // bare targeted wake and let the woken worker probe.
   w.advertise_span(static_cast<std::uint64_t>(hi - lo));
   if (!w.donate_range()) w.rt().notify_work();
-  owner_loop(w, ctx.get(), lo);
+  owner_loop(w, ctx, lo);
 }
 
 // ---------------------------------------------------------------- static
 
-static_record::static_record(std::shared_ptr<loop_ctx> ctx,
-                             std::uint32_t num_workers)
-    : ctx_(std::move(ctx)),
+static_record::static_record(loop_ctx& ctx, std::uint32_t num_workers)
+    : ctx_(ctx),
       blocks_(num_workers == 0 ? 1 : num_workers),
       taken_(new padded<std::atomic<std::uint8_t>>[blocks_]) {
   for (std::uint32_t b = 0; b < blocks_; ++b) {
@@ -266,110 +262,117 @@ bool static_record::participate(rt::worker& w) {
     return false;
   }
   // Balanced block split, identical to the hybrid partitioning arithmetic.
-  const std::int64_t n = ctx_->end - ctx_->begin;
+  const std::int64_t n = ctx_.end - ctx_.begin;
   const std::int64_t base = n / blocks_;
   const std::int64_t rem = n % blocks_;
   const std::int64_t extra = std::min<std::int64_t>(b, rem);
-  const std::int64_t lo = ctx_->begin + static_cast<std::int64_t>(b) * base + extra;
+  const std::int64_t lo = ctx_.begin + static_cast<std::int64_t>(b) * base + extra;
   // The comparison must stay in int64: casting rem to uint32 truncates for
   // N > 2^32 and mis-sizes the boundary blocks (the N = 2^32 + 3 case in
   // huge_n_test.cpp).
   const std::int64_t hi =
       lo + base + (static_cast<std::int64_t>(b) < rem ? 1 : 0);
-  ctx_->run_chunk(w, lo, hi);
+  ctx_.run_chunk(w, lo, hi);
   return true;
 }
 
 // --------------------------------------------------------- dynamic_shared
 
-shared_queue_record::shared_queue_record(std::shared_ptr<loop_ctx> ctx,
-                                         std::int64_t chunk)
-    : ctx_(std::move(ctx)),
-      chunk_(chunk < 1 ? 1 : chunk),
-      next_(ctx_->begin) {}
+shared_queue_record::shared_queue_record(loop_ctx& ctx, std::int64_t chunk)
+    : ctx_(ctx), chunk_(chunk < 1 ? 1 : chunk), next_(ctx_.begin) {}
+
+namespace {
+
+// Prompt stop for the central queues: on cancellation/deadline/failure,
+// swallow the whole tail in one exchange instead of skipping chunk by
+// chunk. The tail [lo, end) is disjoint from every chunk claimed before
+// the exchange, and later claimants observe lo >= end and leave, so each
+// iteration still retires exactly once. Returns the iterations swallowed,
+// which the caller retires with the rest of its visit.
+std::int64_t swallow_tail(rt::worker& w, loop_ctx& ctx,
+                          std::atomic<std::int64_t>& next) {
+  const std::int64_t lo = next.exchange(ctx.end, std::memory_order_acq_rel);
+  if (lo >= ctx.end) return 0;
+  ctx.skipped.fetch_add(ctx.end - lo, std::memory_order_relaxed);
+  telemetry::bump(w.tel().counters.cancelled_chunks);
+  return ctx.end - lo;
+}
+
+}  // namespace
 
 bool shared_queue_record::participate(rt::worker& w) {
   bool worked = false;
+  std::int64_t held = 0;  // run or swallowed, not yet retired
   // Stay on the queue until it drains, like an OpenMP thread inside a
   // `schedule(dynamic)` region. The fetch_add result alone decides when
   // to leave: the old loop condition re-read next_ with a relaxed load,
   // a racy pre-check that could only disagree with the claiming fetch_add
   // below and added nothing the claim does not already validate.
   for (;;) {
-    // Prompt stop: on cancellation/deadline/failure, swallow the whole
-    // tail in one exchange instead of skipping chunk by chunk. The tail
-    // [lo, end) is disjoint from every chunk claimed before the exchange,
-    // and later claimants observe lo >= end and leave, so each iteration
-    // still retires exactly once.
-    if (ctx_->failed.load(std::memory_order_acquire) ||
-        ctx_->stop_requested(w)) {
-      const std::int64_t lo =
-          next_.exchange(ctx_->end, std::memory_order_acq_rel);
-      if (lo < ctx_->end) {
-        ctx_->skipped.fetch_add(ctx_->end - lo, std::memory_order_relaxed);
-        telemetry::bump(w.tel().counters.cancelled_chunks);
-        ctx_->retire(w, ctx_->end - lo);
-      }
-      return worked;
+    if (ctx_.failed.load(std::memory_order_acquire) ||
+        ctx_.stop_requested(w)) {
+      held += swallow_tail(w, ctx_, next_);
+      break;
     }
     const std::int64_t lo = next_.fetch_add(chunk_, std::memory_order_acq_rel);
-    if (lo >= ctx_->end) return worked;
-    const std::int64_t hi = std::min(lo + chunk_, ctx_->end);
-    ctx_->run_chunk(w, lo, hi);
+    if (lo >= ctx_.end) break;
+    const std::int64_t hi = std::min(lo + chunk_, ctx_.end);
+    ctx_.run_body(w, lo, hi);
+    held += hi - lo;
     worked = true;
   }
+  // One retire for the whole visit, after its last chunk: nobody waits on
+  // these iterations but the join, which cannot come sooner anyway.
+  if (held > 0) ctx_.retire(w, held);
+  return worked;
 }
 
 // ----------------------------------------------------------------- guided
 
-guided_record::guided_record(std::shared_ptr<loop_ctx> ctx,
-                             std::int64_t min_chunk, std::uint32_t num_workers)
-    : ctx_(std::move(ctx)),
+guided_record::guided_record(loop_ctx& ctx, std::int64_t min_chunk,
+                             std::uint32_t num_workers)
+    : ctx_(ctx),
       min_chunk_(min_chunk < 1 ? 1 : min_chunk),
       p_(num_workers == 0 ? 1 : num_workers),
-      next_(ctx_->begin) {}
+      next_(ctx_.begin) {}
 
 bool guided_record::participate(rt::worker& w) {
   bool worked = false;
+  std::int64_t held = 0;  // run or swallowed, not yet retired
   for (;;) {
-    // Same prompt-stop drain as shared_queue_record.
-    if (ctx_->failed.load(std::memory_order_acquire) ||
-        ctx_->stop_requested(w)) {
-      const std::int64_t lo =
-          next_.exchange(ctx_->end, std::memory_order_acq_rel);
-      if (lo < ctx_->end) {
-        ctx_->skipped.fetch_add(ctx_->end - lo, std::memory_order_relaxed);
-        telemetry::bump(w.tel().counters.cancelled_chunks);
-        ctx_->retire(w, ctx_->end - lo);
-      }
-      return worked;
+    if (ctx_.failed.load(std::memory_order_acquire) ||
+        ctx_.stop_requested(w)) {
+      held += swallow_tail(w, ctx_, next_);
+      break;
     }
     std::int64_t lo = next_.load(std::memory_order_acquire);
-    std::int64_t hi;
+    std::int64_t hi = lo;
     do {
-      if (lo >= ctx_->end) return worked;
-      const std::int64_t rem = ctx_->end - lo;
+      if (lo >= ctx_.end) break;
+      const std::int64_t rem = ctx_.end - lo;
       const std::int64_t sz =
           std::max(min_chunk_, rem / (2 * static_cast<std::int64_t>(p_)));
-      hi = std::min(lo + sz, ctx_->end);
+      hi = std::min(lo + sz, ctx_.end);
     } while (!next_.compare_exchange_weak(lo, hi, std::memory_order_acq_rel,
                                           std::memory_order_acquire));
-    ctx_->run_chunk(w, lo, hi);
+    if (lo >= ctx_.end) break;
+    ctx_.run_body(w, lo, hi);
+    held += hi - lo;
     worked = true;
   }
+  // Same single retire per visit as shared_queue_record.
+  if (held > 0) ctx_.retire(w, held);
+  return worked;
 }
 
 // ----------------------------------------------------------------- hybrid
 
-hybrid_record::hybrid_record(std::shared_ptr<loop_ctx> ctx,
-                             std::uint32_t partitions)
-    : ctx_(std::move(ctx)), parts_(ctx_->begin, ctx_->end, partitions) {}
+hybrid_record::hybrid_record(loop_ctx& ctx, std::uint32_t partitions)
+    : ctx_(ctx), parts_(ctx_.begin, ctx_.end, partitions) {}
 
-hybrid_record::hybrid_record(std::shared_ptr<loop_ctx> ctx,
-                             std::uint32_t partitions,
+hybrid_record::hybrid_record(loop_ctx& ctx, std::uint32_t partitions,
                              const std::function<double(std::int64_t)>& weight)
-    : ctx_(std::move(ctx)),
-      parts_(ctx_->begin, ctx_->end, partitions, weight) {}
+    : ctx_(ctx), parts_(ctx_.begin, ctx_.end, partitions, weight) {}
 
 void hybrid_record::execute_partition(rt::worker& w, std::uint64_t r) {
   const core::iter_range rg = parts_.range(r);
@@ -381,7 +384,7 @@ void hybrid_record::execute_partition(rt::worker& w, std::uint64_t r) {
   // partition, so stragglers inside a partition are balanced by
   // stealing — lazily split via the worker's range slot (thieves CAS off
   // the upper half; nothing is allocated when no thief arrives)...
-  range_span::run(w, ctx_, rg.begin, rg.end);
+  range_span::run(w, &ctx_, rg.begin, rg.end);
   // ...while the claiming worker finishes its local share depth-first
   // before attempting the next claim, as continuation stealing would.
   // (The drain only matters on the eager fallback paths; the lazy span

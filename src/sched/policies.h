@@ -8,9 +8,9 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "core/partition_set.h"
 #include "runtime/board.h"
@@ -20,9 +20,13 @@
 
 namespace hls::sched {
 
-// State shared by every chunk of one parallel loop. Heap-allocated
-// (shared_ptr) because stolen subtasks and board visitors may hold
-// references until the last chunk retires.
+// State shared by every chunk of one parallel loop. It lives in the
+// posting worker's parallel_for frame, as does the policy record, and
+// everything else refers to it by plain pointer: each holder either holds
+// unretired iterations (a stolen range, an eager subtask, a handoff
+// payload), so the loop cannot join and the frame cannot return, or is a
+// board visitor, which board::clear drains before parallel_for returns
+// (docs/runtime.md "Loop lifetime").
 struct loop_ctx {
   // Why this loop stopped handing out bodies (maps onto loop_status).
   enum : std::uint8_t { kRunning = 0, kCancelled = 1, kDeadline = 2 };
@@ -75,17 +79,30 @@ struct loop_ctx {
   void rethrow_if_failed();
 
   // Runs body on [lo, hi) on worker w — unless the loop has failed or
-  // stopped, in which case the body is skipped — records the trace and
-  // chunk telemetry, then retires the iterations. The retire is last: once
-  // remaining hits 0 the posting thread may return and the body callable
-  // may die, so nothing may touch `body` afterwards.
-  void run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi);
+  // stopped, in which case the body is skipped — and records the trace and
+  // chunk telemetry. It does not retire: the caller owes retire() for the
+  // iterations, once per span, range or queue visit rather than per chunk,
+  // so the shared `remaining` line takes one RMW per unit of work a worker
+  // holds instead of one per chunk.
+  void run_body(rt::worker& w, std::int64_t lo, std::int64_t hi);
 
-  // Retires n iterations. The call that drops `remaining` to zero wakes
-  // every parked worker: the posting worker may be parked inside
-  // work_until waiting on finished(), and that predicate flip has no other
-  // tracked wake edge — without this broadcast it would only notice at the
-  // park backstop.
+  // One chunk run and retired on its own.
+  void run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
+    run_body(w, lo, hi);
+    if (lo < hi) retire(w, hi - lo);
+  }
+
+  // Runs [lo, hi) on w in grain-sized chunks and retires it once. Reads
+  // nothing of the loop after that retire.
+  void run_range(rt::worker& w, std::int64_t lo, std::int64_t hi);
+
+  // Retires n > 0 iterations. The retire is the last touch of the loop:
+  // once remaining hits 0 the posting thread may return, and the context,
+  // the record and the body callable die with its frame. The call that
+  // drops `remaining` to zero wakes every parked worker: the posting worker
+  // may be parked inside work_until waiting on finished(), and that
+  // predicate flip has no other tracked wake edge — without this broadcast
+  // it would only notice at the park backstop.
   void retire(rt::worker& w, std::int64_t n) noexcept;
 
  private:
@@ -103,8 +120,8 @@ struct loop_ctx {
 // range reaches the grain, then runs the body.
 class ws_subtask final : public rt::task {
  public:
-  ws_subtask(std::shared_ptr<loop_ctx> ctx, std::int64_t lo, std::int64_t hi)
-      : ctx_(std::move(ctx)), lo_(lo), hi_(hi) {}
+  ws_subtask(loop_ctx* ctx, std::int64_t lo, std::int64_t hi)
+      : ctx_(ctx), lo_(lo), hi_(hi) {}
 
   // Subtasks are allocated once per exposed chunk on the scheduling hot
   // path: use the executing worker's block pool. Frees may happen on the
@@ -116,11 +133,11 @@ class ws_subtask final : public rt::task {
 
   // The splitting loop itself, callable without a heap-allocated task (the
   // root call and hybrid partition execution run it in place).
-  static void run_span(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
-                       std::int64_t lo, std::int64_t hi);
+  static void run_span(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
+                       std::int64_t hi);
 
  private:
-  std::shared_ptr<loop_ctx> ctx_;
+  loop_ctx* ctx_;
   std::int64_t lo_;
   std::int64_t hi_;
 };
@@ -128,9 +145,9 @@ class ws_subtask final : public rt::task {
 // Lazy steal-driven range splitting: the default span execution path for
 // dynamic_ws and hybrid partitions. The owner publishes the span in its
 // worker's range_slot (runtime/range_slot.h) and consumes it in
-// grain-sized chunks with zero allocations and zero shared_ptr traffic;
-// thieves split off the upper half via the slot's CAS and seed their own
-// slots recursively, so the divide-and-conquer span bound is preserved
+// grain-sized chunks with zero allocations and one retire for the whole
+// span; thieves split off the upper half via the slot's CAS and seed their
+// own slots recursively, so the divide-and-conquer span bound is preserved
 // while the no-steal fast path costs two shared stores per span total.
 // The slot's two-word protocol carries full 64-bit spans, so even
 // billion-iteration loops stay on this zero-alloc path; the only
@@ -138,18 +155,18 @@ class ws_subtask final : public rt::task {
 // busy slot (a nested loop inside a chunk body).
 class range_span {
  public:
-  static void run(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
-                  std::int64_t lo, std::int64_t hi);
+  static void run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
+                  std::int64_t hi);
 
  private:
   // range_slot::span_runner thunk: executes a stolen range on the thief.
-  // No shared_ptr is taken: the stolen iterations are unretired, so the
-  // loop cannot join — and ctx cannot die — before run_chunk retires them.
+  // The stolen iterations are unretired, so the loop cannot join — and ctx
+  // cannot die — before the thief retires them.
   static void run_stolen(rt::worker& w, void* ctx, std::int64_t lo,
                          std::int64_t hi);
 
-  // Owner reserve/execute loop over an already-open slot, plus close and
-  // counter rollup.
+  // Owner reserve/execute loop over an already-open slot, then close,
+  // counter rollup, and the span's one retire.
   static void owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo);
 };
 
@@ -157,40 +174,42 @@ class range_span {
 // nobody else (omp static semantics).
 class static_record final : public rt::loop_record {
  public:
-  static_record(std::shared_ptr<loop_ctx> ctx, std::uint32_t num_workers);
+  static_record(loop_ctx& ctx, std::uint32_t num_workers);
   bool participate(rt::worker& w) override;
-  bool finished() const noexcept override { return ctx_->finished(); }
+  bool finished() const noexcept override { return ctx_.finished(); }
 
  private:
-  std::shared_ptr<loop_ctx> ctx_;
+  loop_ctx& ctx_;
   std::uint32_t blocks_;
   std::unique_ptr<padded<std::atomic<std::uint8_t>>[]> taken_;
 };
 
-// Central queue of fixed-size chunks (omp dynamic semantics).
+// Central queue of fixed-size chunks (omp dynamic semantics). A worker
+// retires what it ran once, when it leaves the queue.
 class shared_queue_record final : public rt::loop_record {
  public:
-  shared_queue_record(std::shared_ptr<loop_ctx> ctx, std::int64_t chunk);
+  shared_queue_record(loop_ctx& ctx, std::int64_t chunk);
   bool participate(rt::worker& w) override;
-  bool finished() const noexcept override { return ctx_->finished(); }
+  bool finished() const noexcept override { return ctx_.finished(); }
 
  private:
-  std::shared_ptr<loop_ctx> ctx_;
+  loop_ctx& ctx_;
   const std::int64_t chunk_;
   alignas(kCacheLine) std::atomic<std::int64_t> next_;
 };
 
 // Central queue of decreasing chunks (omp guided semantics):
-// chunk = max(min_chunk, remaining / (2 P)).
+// chunk = max(min_chunk, remaining / (2 P)). Retires like the shared
+// queue: once per participate() call.
 class guided_record final : public rt::loop_record {
  public:
-  guided_record(std::shared_ptr<loop_ctx> ctx, std::int64_t min_chunk,
+  guided_record(loop_ctx& ctx, std::int64_t min_chunk,
                 std::uint32_t num_workers);
   bool participate(rt::worker& w) override;
-  bool finished() const noexcept override { return ctx_->finished(); }
+  bool finished() const noexcept override { return ctx_.finished(); }
 
  private:
-  std::shared_ptr<loop_ctx> ctx_;
+  loop_ctx& ctx_;
   const std::int64_t min_chunk_;
   const std::uint32_t p_;
   alignas(kCacheLine) std::atomic<std::int64_t> next_;
@@ -202,13 +221,13 @@ class guided_record final : public rt::loop_record {
 // executing each claimed partition as a stealable divide-and-conquer span.
 class hybrid_record final : public rt::loop_record {
  public:
-  hybrid_record(std::shared_ptr<loop_ctx> ctx, std::uint32_t partitions);
+  hybrid_record(loop_ctx& ctx, std::uint32_t partitions);
 
   // Weighted initial partitioning (loop_options::iteration_weight).
-  hybrid_record(std::shared_ptr<loop_ctx> ctx, std::uint32_t partitions,
+  hybrid_record(loop_ctx& ctx, std::uint32_t partitions,
                 const std::function<double(std::int64_t)>& weight);
   bool participate(rt::worker& w) override;
-  bool finished() const noexcept override { return ctx_->finished(); }
+  bool finished() const noexcept override { return ctx_.finished(); }
 
   // Watchdog escalation (board::request_rescue): latches the rescue sweep
   // on so every subsequent participate() linearly try_claims leftover
@@ -240,7 +259,7 @@ class hybrid_record final : public rt::loop_record {
   // but can never lose a partition. Returns true if it ran any.
   bool rescue_sweep(rt::worker& w);
 
-  std::shared_ptr<loop_ctx> ctx_;
+  loop_ctx& ctx_;
   core::partition_set parts_;
   std::atomic<bool> rescue_armed_{false};
 };

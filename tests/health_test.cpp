@@ -144,17 +144,16 @@ TEST(Watchdog, ManualScanClassifiesStallArmsRescueAndRecovers) {
   const auto body = [&](std::int64_t lo, std::int64_t hi) {
     executed.fetch_add(static_cast<int>(hi - lo), std::memory_order_relaxed);
   };
-  auto ctx = std::make_shared<sched::loop_ctx>(0, 64, body, /*grain=*/16,
-                                               /*trace=*/nullptr);
-  auto rec = std::make_shared<sched::hybrid_record>(ctx, 4);
-  ASSERT_TRUE(rec->partitions().try_claim(0));
-  const int slot = rt.loop_board().post(rec, 0);
+  sched::loop_ctx ctx(0, 64, body, /*grain=*/16, /*trace=*/nullptr);
+  sched::hybrid_record rec(ctx, 4);
+  ASSERT_TRUE(rec.partitions().try_claim(0));
+  const int slot = rt.loop_board().post(&rec, 0);
   ASSERT_GE(slot, 0);
 
   std::this_thread::sleep_for(1ms);  // silence >= budget, loop now open
   EXPECT_EQ(wd.scan(), 1u);
   EXPECT_EQ(wd.health_of(0), rt::worker_health::stalled);
-  EXPECT_TRUE(rec->rescue_armed());
+  EXPECT_TRUE(rec.rescue_armed());
   EXPECT_EQ(rt.tel().totals().stalls_detected, 1u);
 
   // A repeated scan while still stalled re-sends the rescue but does not
@@ -166,8 +165,8 @@ TEST(Watchdog, ManualScanClassifiesStallArmsRescueAndRecovers) {
   // A helper arriving at the armed record sweeps the stranded earmarks:
   // partitions 1..3 execute exactly once here even though the designated
   // branch would normally trust the (stalled) claimant to cover them.
-  EXPECT_TRUE(rec->participate(rt.worker_at(0)));
-  EXPECT_TRUE(rec->partitions().all_claimed());
+  EXPECT_TRUE(rec.participate(rt.worker_at(0)));
+  EXPECT_TRUE(rec.partitions().all_claimed());
   EXPECT_EQ(executed.load(), 48);  // partitions 1..3, 16 iterations each
   EXPECT_EQ(rt.tel().totals().earmarks_rescued, 3u);
 

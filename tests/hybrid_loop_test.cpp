@@ -17,8 +17,7 @@ namespace {
 
 TEST(HybridRecord, PartitionCountDefaultsToWorkersRounded) {
   rt::runtime rt(3);
-  auto ctx = std::make_shared<sched::loop_ctx>(
-      0, 100, [](std::int64_t, std::int64_t) {}, 8, nullptr);
+  sched::loop_ctx ctx(0, 100, [](std::int64_t, std::int64_t) {}, 8, nullptr);
   sched::hybrid_record rec(ctx, 3);
   EXPECT_EQ(rec.partitions().count(), 4u);
 }
@@ -29,11 +28,11 @@ TEST(HybridRecord, ParticipateRefusesWhenDesignatedClaimed) {
   auto body = [&](std::int64_t lo, std::int64_t hi) {
     executed.fetch_add(static_cast<int>(hi - lo));
   };
-  auto ctx = std::make_shared<sched::loop_ctx>(0, 100, body, 100, nullptr);
-  auto rec = std::make_shared<sched::hybrid_record>(ctx, 2);
+  sched::loop_ctx ctx(0, 100, body, 100, nullptr);
+  sched::hybrid_record rec(ctx, 2);
   // Pre-claim worker 0's designated partition.
-  const_cast<core::partition_set&>(rec->partitions()).try_claim(0);
-  EXPECT_FALSE(rec->participate(rt.current_worker()));
+  rec.partitions().try_claim(0);
+  EXPECT_FALSE(rec.participate(rt.current_worker()));
   EXPECT_EQ(executed.load(), 0);
 }
 
@@ -43,12 +42,12 @@ TEST(HybridRecord, SoloParticipantExecutesEverything) {
   auto body = [&](std::int64_t lo, std::int64_t hi) {
     executed.fetch_add(hi - lo);
   };
-  auto ctx = std::make_shared<sched::loop_ctx>(0, 1000, body, 64, nullptr);
-  auto rec = std::make_shared<sched::hybrid_record>(ctx, 8);
-  EXPECT_TRUE(rec->participate(rt.current_worker()));
-  rt.current_worker().work_until([&] { return ctx->finished(); });
+  sched::loop_ctx ctx(0, 1000, body, 64, nullptr);
+  sched::hybrid_record rec(ctx, 8);
+  EXPECT_TRUE(rec.participate(rt.current_worker()));
+  rt.current_worker().work_until([&] { return ctx.finished(); });
   EXPECT_EQ(executed.load(), 1000);
-  EXPECT_TRUE(rec->partitions().all_claimed());
+  EXPECT_TRUE(rec.partitions().all_claimed());
 }
 
 class HybridExactlyOnce
@@ -179,18 +178,19 @@ TEST(HybridVsDynamicAffinity, HybridRetainsMoreThanVanilla) {
 
 TEST(SharedPtrLifetimes, RecordSurvivesLateVisitors) {
   // Regression guard for the board lifetime protocol: post, finish the
-  // loop, clear the slot, and make sure a captured shared_ptr can still be
-  // safely queried afterwards.
+  // loop, clear the slot, and make sure the record (owned by this frame,
+  // not the board) can still be safely queried afterwards, and that the
+  // cleared slot no longer reaches it.
   rt::runtime rt(1);
-  auto ctx = std::make_shared<sched::loop_ctx>(
-      0, 10, [](std::int64_t, std::int64_t) {}, 10, nullptr);
-  auto rec = std::make_shared<sched::hybrid_record>(ctx, 1);
-  const int slot = rt.loop_board().post(rec);
-  rec->participate(rt.current_worker());
-  rt.current_worker().work_until([&] { return ctx->finished(); });
+  sched::loop_ctx ctx(0, 10, [](std::int64_t, std::int64_t) {}, 10, nullptr);
+  sched::hybrid_record rec(ctx, 1);
+  const int slot = rt.loop_board().post(&rec);
+  rec.participate(rt.current_worker());
+  rt.current_worker().work_until([&] { return ctx.finished(); });
   rt.loop_board().clear(slot);
-  EXPECT_TRUE(rec->finished());
-  EXPECT_FALSE(rec->participate(rt.current_worker()));
+  EXPECT_FALSE(rt.loop_board().any_open());
+  EXPECT_TRUE(rec.finished());
+  EXPECT_FALSE(rec.participate(rt.current_worker()));
 }
 
 }  // namespace

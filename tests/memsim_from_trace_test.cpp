@@ -52,8 +52,13 @@ TEST(FromTrace, ThreadedRunFeedsHierarchy) {
   const auto counts =
       replay_schedule(h, spec, chunks_from_traces(ptrs), rt.num_workers());
   // 3 loop instances x 128 regions x 64 lines each, demand-accessed once
-  // per visit.
-  EXPECT_EQ(counts.total() - counts.l1, 3u * 128u * 64u);
+  // per visit. Each line visit misses L1 at most once, and every line of
+  // the first instance is cold. How many later visits hit L1 depends on
+  // the schedule — hybrid may hand a region back to the worker that last
+  // touched it — so only these bounds hold for every schedule.
+  const std::uint64_t l1_misses = counts.total() - counts.l1;
+  EXPECT_LE(l1_misses, 3u * 128u * 64u);
+  EXPECT_GE(l1_misses, 128u * 64u);
   // Everything fits comfortably in caches after the first touch, and the
   // working set is tiny: no remote DRAM if the schedule stayed affine, but
   // at minimum the classification is complete (all lines accounted for).

@@ -130,13 +130,15 @@ TEST(Board, PostVisitClear) {
     }
     bool finished() const noexcept override { return did.load(); }
   };
-  auto rec = std::make_shared<one_shot>();
+  one_shot rec;
   board& b = rt.loop_board();
   EXPECT_FALSE(b.any_open());
-  const int slot = b.post(rec);
+  const std::uint64_t posts = b.posts();
+  const int slot = b.post(&rec);
   EXPECT_TRUE(b.any_open());
+  EXPECT_EQ(b.posts(), posts + 1);
   EXPECT_TRUE(b.visit(rt.current_worker()));
-  EXPECT_TRUE(rec->did.load());
+  EXPECT_TRUE(rec.did.load());
   EXPECT_FALSE(b.visit(rt.current_worker()));  // finished
   b.clear(slot);
   EXPECT_FALSE(b.any_open());
@@ -150,14 +152,14 @@ TEST(Board, MultipleRecordsAllVisited) {
     bool finished() const noexcept override { return did.load(); }
   };
   board& b = rt.loop_board();
-  auto r1 = std::make_shared<one_shot>();
-  auto r2 = std::make_shared<one_shot>();
-  const int s1 = b.post(r1);
-  const int s2 = b.post(r2);
+  one_shot r1;
+  one_shot r2;
+  const int s1 = b.post(&r1);
+  const int s2 = b.post(&r2);
   EXPECT_NE(s1, s2);
   b.visit(rt.current_worker());
-  EXPECT_TRUE(r1->did.load());
-  EXPECT_TRUE(r2->did.load());
+  EXPECT_TRUE(r1.did.load());
+  EXPECT_TRUE(r2.did.load());
   b.clear(s1);
   b.clear(s2);
 }
@@ -203,8 +205,8 @@ TEST(Runtime, IdleParkBailsOutWhenBoardIsOpen) {
     bool participate(worker&) override { return false; }
     bool finished() const noexcept override { return false; }
   };
-  auto rec = std::make_shared<never_done>();
-  const int slot = rt.loop_board().post(rec);
+  never_done rec;
+  const int slot = rt.loop_board().post(&rec);
   ASSERT_GE(slot, 0);
   EXPECT_TRUE(rt.work_visible(0));
   EXPECT_FALSE(rt.idle_park(rt.current_worker()).blocked);
