@@ -17,7 +17,6 @@
 #include "core/partition_set.h"
 #include "runtime/deque.h"
 #include "runtime/task.h"
-#include "runtime/task_pool.h"
 #include "sched/loop.h"
 #include "sched/reduce.h"
 
@@ -165,25 +164,6 @@ BENCHMARK(BM_TeamArrival)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(64);
 
-void BM_TaskPoolAllocFree(benchmark::State& state) {
-  rt::block_pool pool;
-  for (auto _ : state) {
-    void* p = pool.allocate();
-    benchmark::DoNotOptimize(p);
-    rt::block_pool::deallocate(p);
-  }
-}
-BENCHMARK(BM_TaskPoolAllocFree);
-
-void BM_HeapAllocFree(benchmark::State& state) {
-  for (auto _ : state) {
-    void* p = ::operator new(rt::block_pool::kUsableBytes);
-    benchmark::DoNotOptimize(p);
-    ::operator delete(p);
-  }
-}
-BENCHMARK(BM_HeapAllocFree);
-
 void BM_PartitionClaim(benchmark::State& state) {
   const auto parts = static_cast<std::uint32_t>(state.range(0));
   for (auto _ : state) {
@@ -268,18 +248,14 @@ BENCHMARK(BM_ParallelForDot<policy::static_part>)
     ->Name("BM_ParallelFor/static");
 
 // Per-iteration scheduling overhead of a fine-grained span (grain = 1, empty
-// body): lazy range splitting (the range_slot path) vs the eager
-// subtask-per-chunk path it replaced, selected by loop_options::
-// eager_subtasks. Eager pays a pool alloc + deque push/pop + virtual call
-// per chunk; lazy pays an amortized fraction of one reserve CAS. The p=1 pair isolates that per-chunk cost with no steal
-// traffic; the p=4 pair shows the contended picture.
+// body) on the lazy range-slot path: an amortized fraction of one reserve
+// CAS per chunk. p:1 isolates that per-chunk cost with no steal traffic;
+// p:4 shows the contended picture.
 void BM_SpanOverhead(benchmark::State& state) {
   rt::runtime rtm(static_cast<std::uint32_t>(state.range(0)));
-  const bool eager = state.range(1) != 0;
   constexpr std::int64_t kN = 1 << 15;
   loop_options opt;
   opt.grain = 1;
-  opt.eager_subtasks = eager;
   for (auto _ : state) {
     parallel_for(rtm, 0, kN, policy::dynamic_ws,
                  [](std::int64_t, std::int64_t) {}, opt);
@@ -287,12 +263,7 @@ void BM_SpanOverhead(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kN);
 }
-BENCHMARK(BM_SpanOverhead)
-    ->ArgNames({"p", "eager"})
-    ->Args({1, 1})
-    ->Args({1, 0})
-    ->Args({4, 1})
-    ->Args({4, 0});
+BENCHMARK(BM_SpanOverhead)->ArgNames({"p"})->Arg(1)->Arg(4);
 
 // The same fine-grained lazy span, A/B over the push-based handoff knob:
 // handoff:1 is the default donate-on-open path (wide spans ride targeted
@@ -324,22 +295,22 @@ BENCHMARK(BM_SpanOverheadHandoff)
 // The same lazy span at huge N: 2^33 iterations — four times the old
 // packed-word span cap — published as ONE span and consumed in 2^20-sized
 // chunks. Guards the per-refill cost of the two-word reserve protocol at
-// widths the eager path could only handle via a heap task per split; the
-// counter delta asserts the loop really stayed on the zero-alloc path
-// (a silent fallback would still "pass" on time alone at this grain).
+// widths the old packed-word slot could only reach by bisecting; the
+// counter delta asserts the loop really stayed on the span path (a silent
+// serial fallback would still "pass" on time alone at this grain).
 void BM_SpanOverheadHuge(benchmark::State& state) {
   rt::runtime rtm(static_cast<std::uint32_t>(state.range(0)));
   constexpr std::int64_t kN = std::int64_t{1} << 33;
   loop_options opt;
   opt.grain = std::int64_t{1} << 20;
-  const std::uint64_t tasks_before = rtm.tel().totals().tasks_run;
+  const std::uint64_t fallbacks_before = rtm.tel().totals().alloc_fallbacks;
   for (auto _ : state) {
     parallel_for(rtm, 0, kN, policy::dynamic_ws,
                  [](std::int64_t, std::int64_t) {}, opt);
     benchmark::ClobberMemory();
   }
-  if (rtm.tel().totals().tasks_run != tasks_before) {
-    state.SkipWithError("huge span fell off the zero-alloc lazy path");
+  if (rtm.tel().totals().alloc_fallbacks != fallbacks_before) {
+    state.SkipWithError("huge span fell off the lazy span path");
   }
   state.SetItemsProcessed(state.iterations() * kN);
 }

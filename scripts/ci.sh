@@ -132,7 +132,8 @@ assert any("BM_WakeLatency" in n for n in names), names
 assert any("BM_HandoffLatency" in n for n in names), names
 assert any("BM_TeamArrival" in n for n in names), names
 assert any("BM_BatchSteal" in n for n in names), names
-assert any("BM_SpanOverhead" in n for n in names), names
+assert "BM_SpanOverhead/p:1" in names, names
+assert "BM_SpanOverhead/p:4" in names, names
 assert any("BM_SpanOverhead/huge" in n for n in names), names
 assert any("BM_SpanOverhead/handoff" in n for n in names), names
 assert "BM_ParallelFor/hybrid/4/7000" in names, names
@@ -242,7 +243,7 @@ HLS_STALL_SWEEP_SEEDS=200 build/tests/stall_sweep_test --gtest_brief=1
 cmake -B build-tsan -G Ninja -DHLS_SANITIZE=thread
 cmake --build build-tsan
 for t in deque_test runtime_test parking_test handoff_test parallel_for_test \
-         hybrid_loop_test task_pool_test task_group_test stress_test \
+         hybrid_loop_test task_group_test stress_test \
          reduce_test sched_features_test micro_workload_test \
          telemetry_test telemetry_runtime_test faultsim_test \
          hardening_test chaos_sched_test range_slot_test \

@@ -22,7 +22,6 @@ const char* hook_name(hook h) noexcept {
     case hook::delay_chunk: return "delay_chunk";
     case hook::delay_park: return "delay_park";
     case hook::thread_spawn: return "thread_spawn";
-    case hook::alloc_fail: return "alloc_fail";
     case hook::handoff_drop: return "handoff_drop";
     case hook::count_: break;
   }
@@ -51,12 +50,11 @@ void config::normalize() noexcept {
     double& r = rate[h];
     r = std::clamp(r, 0.0, 1.0);
     // body_throw may be certain (the loop still terminates, carrying the
-    // exception), and thread_spawn/alloc_fail gate one-shot fallback
-    // paths that stay live at rate 1.0; every other scheduler hook must
-    // keep a success path open.
+    // exception), and thread_spawn gates a one-shot fallback path that
+    // stays live at rate 1.0; every other scheduler hook must keep a
+    // success path open.
     const auto hk = static_cast<hook>(h);
-    if (hk != hook::body_throw && hk != hook::thread_spawn &&
-        hk != hook::alloc_fail) {
+    if (hk != hook::body_throw && hk != hook::thread_spawn) {
       r = std::min(r, kMaxSchedulerRate);
     }
   }

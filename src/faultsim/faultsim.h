@@ -63,8 +63,6 @@ enum class hook : unsigned {
                  // preempted-idle-worker model)
   thread_spawn,  // runtime construction: one worker thread's spawn fails,
                  // shrinking the team (graceful-degradation path)
-  alloc_fail,    // pooled subtask allocation reports exhaustion; the span
-                 // degrades to bounded serial-chunk execution
   handoff_drop,  // donor publishes a handoff payload but drops both the
                  // targeted wake and the reclaim — the payload is
                  // stranded in the mailbox until a steal-round poach or
@@ -103,13 +101,12 @@ struct config {
   std::uint64_t seed = 1;
 
   // Per-hook firing probability in [0, 1]. Scheduler-liveness hooks
-  // (everything except body_throw, thread_spawn, and alloc_fail) are
-  // clamped to kMaxSchedulerRate by normalize(): a rate of 1.0 would
-  // starve the scheduler forever, while re-rolled sub-1 rates keep
-  // progress certain. thread_spawn and alloc_fail are exempt because
-  // they gate one-shot fallback paths that stay live at rate 1.0 (the
-  // team shrinks / the span runs serially), and deterministic degrade
-  // tests need exactly that.
+  // (everything except body_throw and thread_spawn) are clamped to
+  // kMaxSchedulerRate by normalize(): a rate of 1.0 would starve the
+  // scheduler forever, while re-rolled sub-1 rates keep progress certain.
+  // thread_spawn is exempt because it gates a one-shot fallback path that
+  // stays live at rate 1.0 (the team shrinks), and the deterministic
+  // degrade test needs exactly that.
   std::array<double, kNumHooks> rate{};
 
   // Sleep applied when a delay-class hook (delay/delay_chunk/delay_park)

@@ -1,4 +1,5 @@
-// Shipping instantiation of the splittable-range slot (one per worker).
+// Shipping instantiation of the splittable-range slot (a small stack of
+// them per worker, rt::worker::kSpanSlots).
 //
 // The open/reserve/try_steal/close-drain protocol lives in
 // runtime/range_slot_core.h as a template over the synchronization traits

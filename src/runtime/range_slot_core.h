@@ -2,7 +2,8 @@
 // core, as a header template.
 //
 // A worker executing a loop span publishes it here instead of eagerly
-// heap-allocating ~lg(n/grain) divide-and-conquer subtasks. The stealable
+// heap-allocating ~lg(n/grain) divide-and-conquer subtasks (each worker
+// holds a small stack of slots, one per nested open span). The stealable
 // region [split, hi) lives in two 64-bit words — both offsets from an
 // owner-written base — so full 64-bit spans stay on the zero-alloc path:
 // `split` is raised only by the owner (reserve) and `hi` is lowered only
@@ -131,9 +132,10 @@ class range_slot_core {
   // -- owner side (the worker that owns this slot) ----------------------
 
   // Publishes [lo, hi) as a splittable span. Returns false when the slot
-  // is already open (a nested loop inside a chunk body) or the span is
-  // empty/out of range — validated in release builds too, so a caller
-  // bypassing parallel_for cannot corrupt the protocol words silently.
+  // is already open or the span is empty/out of range — validated in
+  // release builds too, so a caller bypassing parallel_for cannot corrupt
+  // the protocol words silently. (A worker never reopens an open slot: a
+  // nested span takes the next slot of its stack, rt::worker::open_span.)
   bool open(void* ctx, Runner runner, std::int64_t lo, std::int64_t hi,
             std::int64_t grain) noexcept {
     if (owner_open_.load()) return false;
@@ -347,7 +349,7 @@ class range_slot_core {
   var_t<std::int64_t> base_{};
   var_t<std::int64_t> grain_{1};
   var_t<std::uint64_t> init_hi_off_{};  // owner-only: split detect at close
-  var_t<bool> owner_open_{};            // owner-only: nested-span guard
+  var_t<bool> owner_open_{};            // owner-only: reopen guard
 
   // The owner's claim frontier (offset from base_): raised by reserve's
   // announce, lowered only by the owner's own loss-retreat.

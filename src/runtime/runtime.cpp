@@ -225,8 +225,10 @@ bool runtime::work_visible(std::uint32_t self) const noexcept {
     if (workers_[i]->deque().size_estimate() > 0) return true;
     // An open range slot is published work too — under the lazy splitting
     // path a loop may expose no tasks at all, only a stealable span, and
-    // parking over one would be the same lost wakeup.
-    if (workers_[i]->range().looks_open()) return true;
+    // parking over one would be the same lost wakeup. Slot 0 suffices:
+    // a worker's open slots are a prefix of its stack, so any open span
+    // keeps slot 0 open.
+    if (workers_[i]->range(0).looks_open()) return true;
     // A full handoff mailbox is published work: the deposit happens before
     // the donor's targeted wake, and if that wake fails (or the chaos
     // handoff_drop hook swallows it) the payload must still keep every

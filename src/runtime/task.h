@@ -1,7 +1,8 @@
 // Task abstraction for the work-stealing runtime.
 //
-// Tasks model stealable units: the divide-and-conquer halves of a parallel
-// loop. Ownership: whoever executes a task deletes it (tasks migrate between
+// Tasks model stealable units of fork-join work: task_group's spawned
+// callables (loops publish range spans instead, runtime/range_slot.h).
+// Ownership: whoever executes a task deletes it (tasks migrate between
 // workers via steals, so deletion cannot be tied to the allocating worker).
 #pragma once
 

@@ -40,6 +40,18 @@ void worker::push(task* t) {
   rt_.notify_work();
 }
 
+range_slot* worker::open_span(void* ctx, range_slot::span_runner run,
+                              std::int64_t lo, std::int64_t hi,
+                              std::int64_t grain) noexcept {
+  if (open_spans_ == kSpanSlots) return nullptr;
+  range_slot& slot = ranges_[open_spans_];
+  if (!slot.open(ctx, run, lo, hi, grain)) return nullptr;
+  ++open_spans_;
+  return &slot;
+}
+
+bool worker::close_span() noexcept { return ranges_[--open_spans_].close(); }
+
 void worker::advertise_deque() noexcept {
   rt_.loads().publish_deque(id_, deque_.size_estimate());
 }
@@ -133,11 +145,12 @@ bool worker::donate_range() {
   std::uint32_t target = 0;
   handoff_slot* box = claim_handoff_target(&target);
   if (box == nullptr) return false;
-  // Donor-side pre-split: carve the upper half off this worker's own open
-  // span with the slot's regular thief protocol — the same CAS transaction
-  // an actual steal runs, so the Corollary-6 split bound and exactly-once
-  // argument apply unchanged.
-  const range_slot::stolen s = range_.try_steal();
+  // Donor-side pre-split: carve the upper half off the span this worker
+  // just opened (its innermost slot) with the slot's regular thief
+  // protocol — the same CAS transaction an actual steal runs, so the
+  // Corollary-6 split bound and exactly-once argument apply unchanged.
+  range_slot& slot = ranges_[open_spans_ - 1];
+  const range_slot::stolen s = slot.try_steal();
   if (!s) {
     box->abort_claim();  // span too narrow to halve (or lost a race)
     return false;
@@ -153,9 +166,9 @@ bool worker::donate_range() {
   handoff_item back;
   if (deliver_or_reclaim(*box, target, s.hi - s.lo, &back)) return true;
   // Reclaimed: restore the range to the open span when no thief moved the
-  // frontier meanwhile; otherwise execute it here (the runner thunk runs
-  // it as serial chunks, since this worker's own slot is the open one).
-  if (!range_.try_unsteal(back.lo, back.hi)) {
+  // frontier meanwhile; otherwise execute it here (the runner thunk opens
+  // the next slot for it, nested inside the span it came from).
+  if (!slot.try_unsteal(back.lo, back.hi)) {
     back.run(*this, back.ctx, back.lo, back.hi);
   }
   return false;
@@ -218,10 +231,6 @@ void worker::run(task* t) {
   delete t;
 }
 
-void worker::drain_local() {
-  while (task* t = pop_local()) run(t);
-}
-
 worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
                                           park_predicate done) {
   const std::uint32_t p = rt_.num_workers();
@@ -269,12 +278,15 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
       telemetry::bump(tel_.counters.faults_injected);
       return false;
     }
-    // The victim's range slot outranks its deque: stealing half of a live
+    // The victim's range slots outrank its deque: stealing half of a live
     // span is one CAS, no allocation, and seeds this worker's own slot
-    // (recursive splitting). The pre-check keeps the common miss at one
-    // relaxed load.
-    range_slot& rs = rt_.worker_at(v).range();
-    if (rs.looks_open()) {
+    // (recursive splitting). The open slots are a prefix of the stack, so
+    // the probe walks up from the outermost (widest) span and stops at the
+    // first closed slot; the common miss is one relaxed load.
+    worker& victim = rt_.worker_at(v);
+    for (std::uint32_t i = 0; i < kSpanSlots; ++i) {
+      range_slot& rs = victim.range(i);
+      if (!rs.looks_open()) break;
       if (chaos != nullptr &&
           chaos->fire(faultsim::hook::range_steal, id_)) {
         // Forced failed split CAS: the span stays whole for the owner.
@@ -291,7 +303,7 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
       }
     }
     std::uint32_t k = 0;
-    if (task* t = rt_.worker_at(v).deque().steal_batch(deque_, &k)) {
+    if (task* t = victim.deque().steal_batch(deque_, &k)) {
       settle(round_end::hit, v, affinity);
       telemetry::bump(tel_.counters.steals);
       telemetry::bump(tel_.counters.batch_steal_tasks, k);

@@ -12,7 +12,6 @@
 #include "runtime/handoff.h"
 #include "runtime/parking.h"
 #include "runtime/range_slot.h"
-#include "runtime/task_pool.h"
 #include "telemetry/registry.h"
 #include "util/cacheline.h"
 #include "util/rng.h"
@@ -43,11 +42,26 @@ class worker {
   ws_deque& deque() noexcept { return deque_; }
   xoshiro256ss& rng() noexcept { return rng_; }
 
-  // This worker's splittable-range slot (lazy loop splitting): opened by
-  // the owner while it executes a loop span, probed by thieves before
-  // deque steals. See runtime/range_slot.h.
-  range_slot& range() noexcept { return range_; }
-  const range_slot& range() const noexcept { return range_; }
+  // ---- splittable-range slots (lazy loop splitting) -----------------
+  // A small fixed stack of slots (runtime/range_slot.h). The owner opens
+  // the next free slot for each loop span it runs, nested ones included,
+  // and closes the innermost when the span ends. Spans on one worker open
+  // and close in call-stack order, so the open slots always form a prefix
+  // of the stack: thieves probe slots from 0 upward and stop at the first
+  // closed one, and slot 0 alone tells whether any span is open.
+  static constexpr std::uint32_t kSpanSlots = 4;
+
+  range_slot& range(std::uint32_t i) noexcept { return ranges_[i]; }
+
+  // Owner only. Publishes [lo, hi) in the next free slot and returns it,
+  // or nullptr when every slot is already open.
+  range_slot* open_span(void* ctx, range_slot::span_runner run,
+                        std::int64_t lo, std::int64_t hi,
+                        std::int64_t grain) noexcept;
+
+  // Owner only. Closes the innermost open slot (range_slot::close) and
+  // returns whether a thief split its span.
+  bool close_span() noexcept;
 
   // This worker's telemetry state: counters, histograms, event ring.
   telemetry::worker_state& tel() noexcept { return tel_; }
@@ -84,10 +98,10 @@ class worker {
   // shutdown path uses it to sweep every mailbox.
   bool try_consume_handoff_from(std::uint32_t v);
 
-  // Donor side. donate_range pre-splits half of this worker's own open
-  // range slot (the exact thief protocol, so the Corollary-6 span bound
-  // is untouched) into a parked peer's mailbox and issues the targeted
-  // wake; called by the sched layer right after it opens a span.
+  // Donor side. donate_range pre-splits half of this worker's innermost
+  // open range slot (the exact thief protocol, so the Corollary-6 span
+  // bound is untouched) into a parked peer's mailbox and issues the
+  // targeted wake; called by the sched layer right after it opens a span.
   // donate_surplus_task does the same with one task popped off the local
   // deque (deep-push and batch-steal-surplus sites). Both return true
   // when the payload was delivered (wake sent, or a racing consumer took
@@ -102,15 +116,7 @@ class worker {
   void advertise_deque() noexcept;
   void advertise_span(std::uint64_t width) noexcept;
 
-  // Drains and executes the local deque until it is empty. Used by the
-  // hybrid loop to finish a claimed partition depth-first before the next
-  // claim, mirroring the serial execution order of continuation stealing.
-  void drain_local();
-
   worker_stats stats() const noexcept { return tel_.counters.snapshot(); }
-
-  // Block pool for this worker's task allocations (owner thread only).
-  block_pool& pool() noexcept { return pool_; }
 
   // ---- heartbeat (consumed by runtime/health.h) ---------------------
   // A cacheline-padded epoch word the owning worker bumps at chunk and
@@ -199,10 +205,10 @@ class worker {
   runtime& rt_;
   std::uint32_t id_;
   ws_deque deque_;
-  range_slot range_;
+  range_slot ranges_[kSpanSlots];
+  std::uint32_t open_spans_ = 0;  // owner only: ranges_[0, open_spans_)
   xoshiro256ss rng_;
   telemetry::worker_state& tel_;
-  block_pool pool_;
 
   // Victim affinity: the last victim this worker stole from successfully.
   // Work distribution is bursty — a victim with surplus once likely still

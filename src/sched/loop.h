@@ -54,13 +54,6 @@ struct loop_options {
   // Optional execution trace (affinity / memsim experiments).
   trace::loop_trace* trace = nullptr;
 
-  // Escape hatch: force the pre-range-slot eager divide-and-conquer
-  // splitting (one heap-allocated ws_subtask per exposed chunk) instead of
-  // the default lazy steal-driven range splitting for dynamic_ws spans and
-  // hybrid partitions. Exists for A/B measurement (BM_SpanOverhead) and as
-  // an operational fallback; semantics are identical either way.
-  bool eager_subtasks = false;
-
   // Optional loop name for telemetry: when event tracing is enabled
   // (runtime::tel().enable_events()), the posting worker records a loop
   // span under this label in the Chrome trace export; unnamed loops show

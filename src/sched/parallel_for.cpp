@@ -168,7 +168,6 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   // nothing below returns before the loop has joined and its board slot
   // is cleared, so every pointer peers hold to it dies unused.
   sched::loop_ctx ctx(begin, end, body, grain, opt.trace);
-  ctx.eager_split = opt.eager_subtasks;
   ctx.cancel = cancel_flag;
   if (opt.deadline.count() > 0) {
     ctx.deadline_at_ns = telemetry::steady_now_ns() +
@@ -236,9 +235,8 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
 
   if (pol == policy::dynamic_ws) {
     // Vanilla cilk_for, lazily split: the caller publishes the span in its
-    // range slot and consumes it chunk by chunk; idle workers join by
-    // stealing only — the upper half off the slot (or, on the eager
-    // fallback paths, divide-and-conquer subtasks off the deque).
+    // next free range slot and consumes it chunk by chunk; idle workers
+    // join by stealing the upper half off the slot.
     probe.setup_done();
     sched::range_span::run(me, &ctx, begin, end);
     probe.work_done();
@@ -315,7 +313,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     // posting worker must drive it to completion itself. One participate()
     // call is not enough: under chaos a forced peek failure can make it
     // return without doing anything, so loop until the record drains
-    // (try_progress keeps stolen subtasks of hybrid partitions moving).
+    // (try_progress keeps ranges stolen from hybrid partitions moving).
     while (!ctx.finished()) {
       if (!rec->participate(me) && !me.try_progress()) {
         std::this_thread::yield();

@@ -105,64 +105,10 @@ void loop_ctx::rethrow_if_failed() {
   }
 }
 
-void* ws_subtask::operator new(std::size_t bytes) {
-  rt::worker* w = rt::current_worker_or_null();
-  return rt::block_pool::allocate_sized(w != nullptr ? &w->pool() : nullptr,
-                                        bytes);
-}
-
-void ws_subtask::operator delete(void* p) noexcept {
-  rt::block_pool::deallocate(p);
-}
-
-// A stolen eager subtask re-enters the adaptive path: if the thief's slot
-// is free the span turns lazy again (only the oversized/nested/opted-out
-// cases stay eager all the way down).
-void ws_subtask::execute(rt::worker& w) { range_span::run(w, ctx_, lo_, hi_); }
-
-namespace {
-
-// Allocates one eager subtask, or nullptr on pool exhaustion — real
-// (std::bad_alloc out of the block pool's refill) or injected (the
-// faultsim alloc_fail hook). Callers degrade to bounded serial-chunk
-// execution of the range instead of aborting; exactly-once is preserved
-// because the serial range retires like any other.
-ws_subtask* try_new_subtask(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
-                            std::int64_t hi) {
-  if (faultsim::injector* c = w.rt().chaos();
-      c != nullptr && c->fire(faultsim::hook::alloc_fail, w.id())) {
-    telemetry::bump(w.tel().counters.faults_injected);
-    telemetry::bump(w.tel().counters.alloc_fallbacks);
-    return nullptr;
-  }
-  try {
-    return new ws_subtask(ctx, lo, hi);
-  } catch (const std::bad_alloc&) {
-    telemetry::bump(w.tel().counters.alloc_fallbacks);
-    return nullptr;
-  }
-}
-
-}  // namespace
-
-void ws_subtask::run_span(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
-                          std::int64_t hi) {
-  while (hi - lo > ctx->grain) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (ws_subtask* t = try_new_subtask(w, ctx, mid, hi)) {
-      w.push(t);
-    } else {
-      ctx->run_range(w, mid, hi);  // the pool-exhaustion fallback
-    }
-    hi = mid;
-  }
-  ctx->run_chunk(w, lo, hi);
-}
-
 // ------------------------------------------------------------ range_span
 
-void range_span::owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo) {
-  rt::range_slot& slot = w.range();
+void range_span::owner_loop(rt::worker& w, rt::range_slot& slot,
+                            loop_ctx* ctx, std::int64_t lo) {
   std::uint64_t refills = 0;
   std::int64_t cur = lo;
   for (;;) {
@@ -181,8 +127,9 @@ void range_span::owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo) {
   // Nothing above can throw (run_body captures body exceptions), so the
   // slot is always closed — and drained — before the span retires and the
   // loop may join. The final reserve() only fails once the stealable
-  // region is empty, so no thief can split the span after that.
-  const bool split = slot.close();
+  // region is empty, so no thief can split the span after that. Spans the
+  // chunk bodies opened have all closed again, so `slot` is the innermost.
+  const bool split = w.close_span();
   w.advertise_span(0);
   telemetry::worker_state& tel = w.tel();
   telemetry::bump(tel.counters.range_splits, refills);
@@ -193,55 +140,38 @@ void range_span::owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo) {
   if (cur > lo) ctx->retire(w, cur - lo);
 }
 
-void range_span::run_stolen(rt::worker& w, void* ctx_raw, std::int64_t lo,
+void range_span::run_stolen(rt::worker& w, void* ctx, std::int64_t lo,
                             std::int64_t hi) {
-  auto* ctx = static_cast<loop_ctx*>(ctx_raw);
-  if (hi - lo <= ctx->grain) {
-    ctx->run_chunk(w, lo, hi);
-    return;
-  }
-  // Recursive splitting: the stolen range seeds the thief's own slot. A
-  // stolen range always fits kMaxSpan (it was carved from a fitting span).
-  if (!w.range().open(ctx, &range_span::run_stolen, lo, hi, ctx->grain)) {
-    // The thief's slot is busy: this steal ran inside an open span (e.g. a
-    // task_group wait nested in a chunk body). Run the range serially,
-    // chunk by chunk — rare, and exactly-once is preserved either way.
-    ctx->run_range(w, lo, hi);
-    return;
-  }
-  // The new span's upper half is stealable: advertise it, and when a peer
-  // is parked, push half of it straight into that peer's handoff mailbox
-  // so the wake carries work (donate-on-open, docs/runtime.md).
-  w.advertise_span(static_cast<std::uint64_t>(hi - lo));
-  if (!w.donate_range()) w.rt().notify_work();
-  owner_loop(w, ctx, lo);
+  run(w, static_cast<loop_ctx*>(ctx), lo, hi);
 }
 
 void range_span::run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
                      std::int64_t hi) {
   if (lo >= hi) return;
-  if (ctx->eager_split) {
-    ws_subtask::run_span(w, ctx, lo, hi);
-    return;
-  }
   if (hi - lo <= ctx->grain) {
     ctx->run_chunk(w, lo, hi);
     return;
   }
-  if (!w.range().open(ctx, &range_span::run_stolen, lo, hi, ctx->grain)) {
-    // Nested parallel loop inside a chunk body: the outer span still owns
-    // this worker's slot, so the inner loop splits eagerly.
-    ws_subtask::run_span(w, ctx, lo, hi);
+  // The span takes the next free slot, whether it is a loop's top level, a
+  // loop nested in a chunk body, or a stolen range (recursive splitting: a
+  // stolen range always fits kMaxSpan, having been carved from a span).
+  rt::range_slot* slot =
+      w.open_span(ctx, &range_span::run_stolen, lo, hi, ctx->grain);
+  if (slot == nullptr) {
+    // Every slot is open: spans are nested kSpanSlots deep on this worker
+    // (or, beyond any real loop, the span exceeds kMaxSpan). Run the range
+    // as serial chunks; exactly-once holds either way.
+    telemetry::bump(w.tel().counters.alloc_fallbacks);
+    ctx->run_range(w, lo, hi);
     return;
   }
-  // Unlike the eager path (where every push wakes a thief), the span is
-  // the only published unit of work — advertise it once. With a parked
-  // peer, the wake itself carries the span's upper half (donate-on-open,
-  // docs/runtime.md "Push-based handoff"); otherwise fall back to the
-  // bare targeted wake and let the woken worker probe.
+  // The span is the only published unit of work — advertise it once. With
+  // a parked peer, the wake itself carries the span's upper half
+  // (donate-on-open, docs/runtime.md "Push-based handoff"); otherwise fall
+  // back to the bare targeted wake and let the woken worker probe.
   w.advertise_span(static_cast<std::uint64_t>(hi - lo));
   if (!w.donate_range()) w.rt().notify_work();
-  owner_loop(w, ctx, lo);
+  owner_loop(w, *slot, ctx, lo);
 }
 
 // ---------------------------------------------------------------- static
@@ -383,13 +313,11 @@ void hybrid_record::execute_partition(rt::worker& w, std::uint64_t r) {
   // doWork (paper Alg. 3 lines 11/17): a stealable parallel loop over the
   // partition, so stragglers inside a partition are balanced by
   // stealing — lazily split via the worker's range slot (thieves CAS off
-  // the upper half; nothing is allocated when no thief arrives)...
+  // the upper half; nothing is allocated when no thief arrives). The span
+  // returns once the owner's unstolen share is done, so the claiming
+  // worker finishes it depth-first before the next claim, as continuation
+  // stealing would.
   range_span::run(w, &ctx_, rg.begin, rg.end);
-  // ...while the claiming worker finishes its local share depth-first
-  // before attempting the next claim, as continuation stealing would.
-  // (The drain only matters on the eager fallback paths; the lazy span
-  // pushes no subtasks.)
-  w.drain_local();
   if (timed) {
     tel.emit({t0, tel.now() - t0, static_cast<std::int64_t>(r), 0,
               telemetry::event_kind::partition_span});

@@ -1,8 +1,9 @@
 // Internal policy implementations behind parallel_for.
 //
 // Each work-sharing policy is a loop_record posted on the runtime's board;
-// dynamic_ws is pure deque work. Exposed in a header (rather than an
-// anonymous namespace) so the tests can exercise records directly.
+// dynamic_ws posts nothing and runs as a range_span in the caller's slot.
+// Exposed in a header (rather than an anonymous namespace) so the tests
+// can exercise records directly.
 #pragma once
 
 #include <atomic>
@@ -14,7 +15,6 @@
 
 #include "core/partition_set.h"
 #include "runtime/board.h"
-#include "runtime/task.h"
 #include "sched/loop.h"
 #include "util/cacheline.h"
 
@@ -23,9 +23,9 @@ namespace hls::sched {
 // State shared by every chunk of one parallel loop. It lives in the
 // posting worker's parallel_for frame, as does the policy record, and
 // everything else refers to it by plain pointer: each holder either holds
-// unretired iterations (a stolen range, an eager subtask, a handoff
-// payload), so the loop cannot join and the frame cannot return, or is a
-// board visitor, which board::clear drains before parallel_for returns
+// unretired iterations (an open span, a stolen range, a handoff payload),
+// so the loop cannot join and the frame cannot return, or is a board
+// visitor, which board::clear drains before parallel_for returns
 // (docs/runtime.md "Loop lifetime").
 struct loop_ctx {
   // Why this loop stopped handing out bodies (maps onto loop_status).
@@ -49,11 +49,6 @@ struct loop_ctx {
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
-
-  // Escape hatch (loop_options::eager_subtasks): route spans through the
-  // eager ws_subtask divide-and-conquer path instead of the lazy range
-  // slot. Set once by parallel_for before the loop is published.
-  bool eager_split = false;
 
   // Cancellation/deadline state, set by parallel_for before the loop is
   // published. `cancel` borrows loop_options::cancel's flag (the options
@@ -115,44 +110,16 @@ struct loop_ctx {
   }
 };
 
-// Divide-and-conquer subtask used by dynamic_ws and inside hybrid
-// partitions: splits in half, pushing upper halves for thieves, until the
-// range reaches the grain, then runs the body.
-class ws_subtask final : public rt::task {
- public:
-  ws_subtask(loop_ctx* ctx, std::int64_t lo, std::int64_t hi)
-      : ctx_(ctx), lo_(lo), hi_(hi) {}
-
-  // Subtasks are allocated once per exposed chunk on the scheduling hot
-  // path: use the executing worker's block pool. Frees may happen on the
-  // thief's thread; block_pool routes them back to the owner.
-  static void* operator new(std::size_t bytes);
-  static void operator delete(void* p) noexcept;
-
-  void execute(rt::worker& w) override;
-
-  // The splitting loop itself, callable without a heap-allocated task (the
-  // root call and hybrid partition execution run it in place).
-  static void run_span(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
-                       std::int64_t hi);
-
- private:
-  loop_ctx* ctx_;
-  std::int64_t lo_;
-  std::int64_t hi_;
-};
-
-// Lazy steal-driven range splitting: the default span execution path for
-// dynamic_ws and hybrid partitions. The owner publishes the span in its
-// worker's range_slot (runtime/range_slot.h) and consumes it in
-// grain-sized chunks with zero allocations and one retire for the whole
-// span; thieves split off the upper half via the slot's CAS and seed their
-// own slots recursively, so the divide-and-conquer span bound is preserved
-// while the no-steal fast path costs two shared stores per span total.
-// The slot's two-word protocol carries full 64-bit spans, so even
-// billion-iteration loops stay on this zero-alloc path; the only
-// fallbacks to ws_subtask are an explicit opt-out (eager_split) and a
-// busy slot (a nested loop inside a chunk body).
+// Lazy steal-driven range splitting: how dynamic_ws and hybrid partitions
+// run a span, nested loops included. The owner publishes the span in the
+// next free slot of its worker's slot stack (runtime/range_slot.h) and
+// consumes it in grain-sized chunks with zero allocations and one retire
+// for the whole span; thieves split off the upper half via the slot's CAS
+// and seed their own slots recursively, so the divide-and-conquer span
+// bound is preserved while the no-steal fast path costs two shared stores
+// per span total. The slot's two-word protocol carries full 64-bit spans.
+// The one fallback is a full stack (spans nested rt::worker::kSpanSlots
+// deep): the span then runs as bounded serial chunks.
 class range_span {
  public:
   static void run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
@@ -165,9 +132,10 @@ class range_span {
   static void run_stolen(rt::worker& w, void* ctx, std::int64_t lo,
                          std::int64_t hi);
 
-  // Owner reserve/execute loop over an already-open slot, then close,
-  // counter rollup, and the span's one retire.
-  static void owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo);
+  // Owner reserve/execute loop over the span's slot (the innermost open
+  // one), then close, counter rollup, and the span's one retire.
+  static void owner_loop(rt::worker& w, rt::range_slot& slot, loop_ctx* ctx,
+                         std::int64_t lo);
 };
 
 // Strict static partitioning: block k is executed serially by worker k and

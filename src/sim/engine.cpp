@@ -365,8 +365,9 @@ class loop_sim {
         return;
 
       case wmode::claiming:
-        // Finish the local share of the claimed partition first
-        // (drain_local), then claim the next partition.
+        // Finish the local share of the claimed partition first (the
+        // runtime's span returns only once its owner's share is done),
+        // then claim the next partition.
         if (try_local(w, t)) return;
         if (try_claim(w, t)) return;
         [[fallthrough]];

@@ -58,8 +58,8 @@
                     "repeated failed steal/range-probe rounds")           \
   X(degraded_workers, "workers lost to thread-spawn failure at runtime " \
                       "construction (team shrank)")                       \
-  X(alloc_fallbacks, "subtask-pool exhaustions degraded to bounded "     \
-                     "serial-chunk execution")                            \
+  X(alloc_fallbacks, "spans run as serial chunks because every range "   \
+                     "slot was open")                                     \
   X(gated_loops, "parallel_for submissions serialized by the "           \
                  "admission gate (in-flight limit reached)")              \
   X(handoffs_sent, "work handoffs deposited and signalled (targeted "    \

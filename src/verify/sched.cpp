@@ -192,6 +192,9 @@ class engine {
   void h_cond_notify(std::uint64_t cid, bool all);
   void h_note_value(std::uint64_t v);
 
+  // Records msg as the execution's failure and longjmps out of it. The
+  // jump skips the destructors of every frame in between, so callers pass
+  // the message by move; a copy left behind in one of them would leak.
   [[noreturn]] void fail(std::string msg);
 
  private:
@@ -931,8 +934,11 @@ void check(bool cond, const char* msg) {
   fail_now(msg);
 }
 
-void fail_now(const std::string& msg) {
-  if (g_engine != nullptr) g_engine->fail(msg);
+void fail_now(std::string msg) {
+  // fail() longjmps out of this frame and its callers', skipping their
+  // destructors: the message moves into the engine, so no frame is left
+  // owning a copy.
+  if (g_engine != nullptr) g_engine->fail(std::move(msg));
   std::fprintf(stderr, "hls_verify: %s (no active exploration)\n",
                msg.c_str());
   std::abort();

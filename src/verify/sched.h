@@ -143,7 +143,7 @@ result explore(model& m, const options& opt);
 void check(bool cond, const char* msg);
 
 // Unconditional failure with a formatted message.
-[[noreturn]] void fail_now(const std::string& msg);
+[[noreturn]] void fail_now(std::string msg);
 
 namespace detail {
 

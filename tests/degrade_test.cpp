@@ -1,16 +1,14 @@
 // Graceful-degradation tests: worker-spawn failure shrinks the team
-// instead of aborting construction, pool exhaustion falls back to bounded
-// serial-chunk execution, and the parallel_for admission gate serializes
-// submissions past the in-flight limit — all while every loop stays
-// exactly-once with a correct loop_result.
+// instead of aborting construction, range-slot exhaustion falls back to
+// bounded serial-chunk execution, and the parallel_for admission gate
+// serializes submissions past the in-flight limit — all while every loop
+// stays exactly-once with a correct loop_result.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "faultsim/faultsim.h"
 #include "sched/loop.h"
 #include "telemetry/profiler.h"
 
@@ -58,49 +56,58 @@ TEST(Degrade, SpawnFailureShrinksTeamAndLoopsStillComplete) {
   for (policy pol : kPolicies) assert_exactly_once(rt, pol, 256);
 }
 
-// --------------------------------------------- pool-exhaustion fallback
+// --------------------------------------------- slot-exhaustion fallback
+
+// Calls f from inside rt::worker::kSpanSlots nested dynamic_ws spans. On a
+// one-worker runtime nothing is stolen, so every range slot is open while
+// f runs and any span f starts finds none free.
+template <typename F>
+void with_full_span_stack(rt::runtime& rt, const F& f,
+                          std::uint32_t depth = 0) {
+  if (depth == rt::worker::kSpanSlots) {
+    f();
+    return;
+  }
+  loop_options opt;
+  opt.grain = 1;  // a two-iteration loop still opens a span
+  for_each(
+      rt, 0, 2, policy::dynamic_ws,
+      [&](std::int64_t i) {
+        if (i == 0) with_full_span_stack(rt, f, depth + 1);
+      },
+      opt);
+}
 
 TEST(Degrade, AllocFailureFallsBackToSerialChunks) {
-  rt::runtime rt(4);
-  auto cfg = faultsim::config::parse("alloc_fail=1");
-  ASSERT_TRUE(cfg.has_value());
-  rt.set_chaos(std::make_shared<faultsim::injector>(*cfg, 4));
-
-  // Eager subtasks force every span through the divide-and-conquer
-  // allocation path, so alloc_fail=1 exercises the serial-chunk fallback
-  // on every bisection.
-  loop_options opt;
-  opt.eager_subtasks = true;
-  assert_exactly_once(rt, policy::dynamic_ws, 512, opt);
-  assert_exactly_once(rt, policy::hybrid, 512, opt);
-
+  rt::runtime rt(1);
+  // The innermost loops are nested kSpanSlots + 1 deep: the dynamic_ws
+  // span and the hybrid partition both run as serial chunks.
+  with_full_span_stack(rt, [&] {
+    assert_exactly_once(rt, policy::dynamic_ws, 512);
+    assert_exactly_once(rt, policy::hybrid, 512);
+  });
   EXPECT_GT(rt.tel().totals().alloc_fallbacks, 0u);
-  rt.set_chaos(nullptr);
 }
 
 TEST(Degrade, AllocFallbackPreservesCancelStatus) {
-  rt::runtime rt(2);
-  auto cfg = faultsim::config::parse("alloc_fail=1");
-  ASSERT_TRUE(cfg.has_value());
-  rt.set_chaos(std::make_shared<faultsim::injector>(*cfg, 2));
-
+  rt::runtime rt(1);
   cancel_source src;
   loop_options opt;
-  opt.eager_subtasks = true;
   opt.cancel = src.token();
   std::atomic<int> seen{0};
-  const loop_result res = for_each(rt, 0, 4096, policy::dynamic_ws,
-                                   [&](std::int64_t) {
-                                     if (seen.fetch_add(1) == 100) {
-                                       src.request_cancel();
-                                     }
-                                   },
-                                   opt);
+  loop_result res;
+  with_full_span_stack(rt, [&] {
+    res = for_each(rt, 0, 4096, policy::dynamic_ws,
+                   [&](std::int64_t) {
+                     if (seen.fetch_add(1) == 100) src.request_cancel();
+                   },
+                   opt);
+  });
   // The serial-chunk fallback still polls the stop word, so cancellation
   // surfaces with the skipped count intact.
+  EXPECT_GT(rt.tel().totals().alloc_fallbacks, 0u);
   EXPECT_EQ(res.status, loop_status::cancelled);
   EXPECT_GT(res.skipped, 0);
-  rt.set_chaos(nullptr);
 }
 
 // ------------------------------------------------------ admission gate

@@ -65,17 +65,16 @@ TEST(FaultsimConfig, MalformedSpecsReturnNullopt) {
 }
 
 TEST(FaultsimConfig, NormalizeClampsSchedulerRatesButNotOneShotHooks) {
-  // body_throw, thread_spawn and alloc_fail gate one-shot fallback paths
-  // (exception propagation, team shrink, serial-chunk degrade), so a
-  // deterministic rate of 1.0 must survive normalize(); the retry-loop
-  // scheduler hooks are clamped so chaos cannot livelock a retry loop.
+  // body_throw and thread_spawn gate one-shot fallback paths (exception
+  // propagation, team shrink), so a deterministic rate of 1.0 must survive
+  // normalize(); the retry-loop scheduler hooks are clamped so chaos
+  // cannot livelock a retry loop.
   config c;
   for (unsigned h = 0; h < kNumHooks; ++h) c.rate[h] = 1.0;
   c.normalize();
   for (unsigned h = 0; h < kNumHooks; ++h) {
     const hook hk = static_cast<hook>(h);
-    if (hk == hook::body_throw || hk == hook::thread_spawn ||
-        hk == hook::alloc_fail) {
+    if (hk == hook::body_throw || hk == hook::thread_spawn) {
       EXPECT_DOUBLE_EQ(c.rate[h], 1.0) << hook_name(hk);
     } else {
       EXPECT_DOUBLE_EQ(c.rate[h], config::kMaxSchedulerRate)

@@ -78,9 +78,11 @@ void run_lazy_span_smoke(policy pol, std::uint32_t workers) {
   EXPECT_EQ(covered.load(), kN);
   const telemetry::counter_set delta = rt.tel().totals() - before;
   // Pre-fix, a span this wide fell off the lazy path into eager bisection
-  // (heap task per split). Now it opens directly: zero tasks, and every
-  // reservation advance is a range_splits refill.
+  // (heap task per split). Now it opens directly: zero tasks, no
+  // serial-chunk fallback, and every reservation advance is a
+  // range_splits refill.
   EXPECT_EQ(delta.tasks_run, 0u) << policy_name(pol);
+  EXPECT_EQ(delta.alloc_fallbacks, 0u) << policy_name(pol);
   EXPECT_GT(delta.range_splits, 0u) << policy_name(pol);
 }
 

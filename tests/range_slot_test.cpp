@@ -3,14 +3,15 @@
 // close/drain), raw concurrent exactly-once stress (owner advancing at lo
 // vs thief CAS at split — the TSAN target), including a >2^31-iteration
 // span, the scheduler integration (dynamic_ws and hybrid spans, recursive
-// thief splitting, the eager escape hatch and the nested-loop fallback),
-// and a 200-seed chaos sweep asserting no iteration is lost or duplicated
-// with the range-steal CAS under fault injection.
+// thief splitting, nested loops on the worker's slot stack and its
+// full-stack fallback), and a 200-seed chaos sweep asserting no iteration
+// is lost or duplicated with the range-steal CAS under fault injection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -41,7 +42,7 @@ TEST(RangeSlot, OpenPublishesCloseUnpublishes) {
   ASSERT_TRUE(slot.open(&marker, &dummy_runner, 100, 200, 10));
   EXPECT_TRUE(slot.looks_open());
   EXPECT_TRUE(slot.owner_open());
-  // A second open while a span is published reports busy (nested loop).
+  // A second open while a span is published reports busy.
   EXPECT_FALSE(slot.open(&marker, &dummy_runner, 0, 50, 5));
 
   EXPECT_FALSE(slot.close());  // nobody stole: the span was never split
@@ -351,23 +352,10 @@ TEST(RangeSpan, SingleWorkerAllocatesNoTasksAndStaysUnsplit) {
   EXPECT_EQ(delta.spans_unsplit, static_cast<std::uint64_t>(kLoops));
 }
 
-TEST(RangeSpan, EagerSubtasksOptOutRestoresTaskPath) {
-  rt::runtime rt(2);
-  loop_options opt;
-  opt.grain = 8;
-  opt.eager_subtasks = true;
-  const telemetry::counter_set before = rt.tel().totals();
-  for (int rep = 0; rep < 5; ++rep) {
-    assert_exactly_once(rt, policy::dynamic_ws, 1 << 12, opt);
-    assert_exactly_once(rt, policy::hybrid, 1 << 12, opt);
-  }
-  const telemetry::counter_set delta = rt.tel().totals() - before;
-  EXPECT_GT(delta.tasks_run, 0u);       // subtasks were heap-allocated again
-  EXPECT_EQ(delta.range_splits, 0u);    // and no span was ever published
-  EXPECT_EQ(delta.spans_unsplit, 0u);
-}
-
-TEST(RangeSpan, NestedLoopInsideSpanFallsBackAndCompletes) {
+// A nested loop runs on the same lazy engine as a top-level one: its span
+// opens the next slot of the worker's stack. Nothing allocates a task, and
+// every (outer, inner) pair runs exactly once.
+TEST(RangeSpan, NestedLoopOpensItsOwnSlotAndCompletes) {
   rt::runtime rt(4);
   constexpr std::int64_t kOuter = 64;
   constexpr std::int64_t kInner = 256;
@@ -375,56 +363,92 @@ TEST(RangeSpan, NestedLoopInsideSpanFallsBackAndCompletes) {
   outer_opt.grain = 1;
   std::vector<std::atomic<int>> hits(
       static_cast<std::size_t>(kOuter * kInner));
-  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-  const loop_result res = for_each(
-      rt, 0, kOuter, policy::dynamic_ws,
-      [&](std::int64_t o) {
-        // The worker's slot is owned by the outer span here, so the inner
-        // loop must take the eager fallback (and still complete).
-        for_each(rt, 0, kInner, policy::dynamic_ws, [&](std::int64_t i) {
-          hits[static_cast<std::size_t>(o * kInner + i)].fetch_add(
-              1, std::memory_order_relaxed);
-        });
-      },
-      outer_opt);
-  ASSERT_TRUE(res.ok());
-  for (std::int64_t i = 0; i < kOuter * kInner; ++i) {
-    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << i;
-  }
-}
-
-// Regression (freed loop_ctx read): a worker waiting on a nested loop
-// inside its own open span steals half of a peer's outer span; its slot is
-// busy, so run_stolen runs the range serially. The last of those chunks
-// may retire the outer loop, which lets the poster return and free the
-// loop's context — the serial loop used to re-read ctx->grain after that.
-// Many short outer loops make the retire-then-free window common; under
-// TSAN/ASan the old read is reported, and exactly-once must hold anyway.
-TEST(RangeSpan, StolenRangeIntoBusySlotNeverReadsRetiredLoop) {
-  rt::runtime rt(4);
-  constexpr std::int64_t kOuter = 64;
-  constexpr std::int64_t kInner = 64;
-  loop_options outer_opt;
-  outer_opt.grain = 2;  // stolen outer ranges exceed the grain
-  std::vector<std::atomic<int>> hits(
-      static_cast<std::size_t>(kOuter * kInner));
-  for (int rep = 0; rep < 100; ++rep) {
+  for (const policy pol : {policy::dynamic_ws, policy::hybrid}) {
     for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    const telemetry::counter_set before = rt.tel().totals();
     const loop_result res = for_each(
-        rt, 0, kOuter, policy::dynamic_ws,
+        rt, 0, kOuter, pol,
         [&](std::int64_t o) {
-          for_each(rt, 0, kInner, policy::dynamic_ws, [&](std::int64_t i) {
+          for_each(rt, 0, kInner, pol, [&](std::int64_t i) {
             hits[static_cast<std::size_t>(o * kInner + i)].fetch_add(
                 1, std::memory_order_relaxed);
           });
         },
         outer_opt);
-    ASSERT_TRUE(res.ok());
+    ASSERT_TRUE(res.ok()) << policy_name(pol);
     for (std::int64_t i = 0; i < kOuter * kInner; ++i) {
       ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << policy_name(pol) << " iteration " << i;
+    }
+    const telemetry::counter_set delta = rt.tel().totals() - before;
+    EXPECT_EQ(delta.tasks_run, 0u) << policy_name(pol);
+  }
+}
+
+// Regression (freed loop_ctx read): a worker whose slot stack is full
+// steals half of a peer's span; with no free slot, run_stolen runs the
+// range serially through run_range. The last of those chunks may retire
+// the peer's loop, which lets the peer return and build its next loop's
+// context in the same frame — the serial loop used to re-read ctx->grain
+// after that. Here the posting thread holds every slot (kSpanSlots nested
+// spans) while it waits on a static loop whose other blocks run dynamic_ws
+// loops back to back from one frame, so the ranges it steals land in the
+// full stack. Under TSAN the old read is reported, and exactly-once must
+// hold anyway.
+TEST(RangeSpan, StolenRangeIntoBusySlotNeverReadsRetiredLoop) {
+  constexpr std::int64_t kWorkers = 4;
+  constexpr std::int64_t kRounds = 32;
+  constexpr std::int64_t kInner = 64;
+  rt::runtime rt(kWorkers);
+  loop_options fine;
+  fine.grain = 1;  // two-iteration loops still open a span
+  std::vector<std::atomic<int>> hits(
+      static_cast<std::size_t>(kWorkers * kRounds * kInner));
+  // Block b runs its rounds; the poster's block 0 runs one, in its full
+  // stack, and then waits while the peers run theirs.
+  const auto block = [&](std::int64_t b) {
+    for (std::int64_t r = 0; r < (b == 0 ? 1 : kRounds); ++r) {
+      const std::int64_t base = (b * kRounds + r) * kInner;
+      for_each(
+          rt, 0, kInner, policy::dynamic_ws,
+          [&](std::int64_t i) {
+            // Only the upper half has work, so a stolen upper half tends
+            // to retire after its owner's lower half: the thief's retire
+            // is the loop's last.
+            volatile std::int64_t work = 0;
+            for (std::int64_t k = 0; 2 * i >= kInner && k < 8192; ++k) {
+              work = work + k;
+            }
+            hits[static_cast<std::size_t>(base + i)].fetch_add(
+                1, std::memory_order_relaxed);
+          },
+          fine);
+    }
+  };
+  const std::function<void(std::uint32_t)> descend = [&](std::uint32_t depth) {
+    if (depth == rt::worker::kSpanSlots) {
+      for_each(rt, 0, kWorkers, policy::static_part, block);
+      return;
+    }
+    for_each(
+        rt, 0, 2, policy::dynamic_ws,
+        [&](std::int64_t j) {
+          if (j == 0) descend(depth + 1);
+        },
+        fine);
+  };
+  const telemetry::counter_set before = rt.tel().totals();
+  for (int rep = 0; rep < 50; ++rep) {
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    descend(0);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      const bool ran = i < kInner || i >= kRounds * kInner;
+      ASSERT_EQ(hits[i].load(), ran ? 1 : 0)
           << "rep " << rep << " iteration " << i;
     }
   }
+  // The poster's own round met the full stack every time.
+  EXPECT_GT((rt.tel().totals() - before).alloc_fallbacks, 0u);
 }
 
 TEST(RangeSpan, ExplicitGrainBoundsTraceChunks) {

@@ -156,9 +156,15 @@ TEST(TelemetryRuntime, ChromeTraceRoundTripsWithSpansAndClaims) {
     const int pid = static_cast<int>(e.get("pid")->as_number());
     ASSERT_EQ(pid, telemetry::kWorkerPid);
     const int tid = static_cast<int>(e.get("tid")->as_number());
-    ASSERT_GE(tid, 0);
-    ASSERT_LT(tid, static_cast<int>(kWorkers));
     const std::string& name = e.get("name")->as_string();
+    // A slowed runtime (a sanitizer build) can trip the watchdog, whose
+    // stall marks sit on the lane just past the workers'.
+    if (name == "stall-detected" || name.rfind("stall w", 0) == 0) {
+      ASSERT_EQ(tid, static_cast<int>(kWorkers)) << name;
+      continue;
+    }
+    ASSERT_GE(tid, 0);
+    ASSERT_LT(tid, static_cast<int>(kWorkers)) << name;
     if (ph == "X") {
       ++spans[tid];
       EXPECT_NE(e.get("dur"), nullptr);
