@@ -48,6 +48,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=deque --bound=5"
     "--model=range_slot --bound=5"
     "--model=range_word --bound=5"
+    "--model=range_word-floor --bound=5"
     "--model=claim-bitmap --bound=-1"
     "--model=parking --bound=-1"
     "--model=parking-fanout --bound=3"
@@ -69,6 +70,7 @@ else
     "--model=deque --bound=3"
     "--model=range_slot --bound=3"
     "--model=range_word --bound=3"
+    "--model=range_word-floor --bound=3"
     "--model=claim-bitmap --bound=3"
     "--model=parking --bound=3"
     "--model=parking-fanout --bound=2"
@@ -240,9 +242,30 @@ build/examples/quickstart --chaos=20260807 > /dev/null
 echo "== chaos stall sweep"
 HLS_STALL_SWEEP_SEEDS=200 build/tests/stall_sweep_test --gtest_brief=1
 
+# End-to-end smoke (bench/e2e): short traced runs whose every loop must
+# tile its iteration space exactly once, so run.py's last stdout line
+# reads "correct": true. ramp_unbalanced runs the heavy tails the measured
+# split floor cuts below the grain; cg_fine the short loops; nested_quad
+# the nested spans. run.py refuses to run on fewer than 4 CPUs (its
+# numbers are for P = 4), so the smoke skips with a notice there.
+echo "== e2e smoke"
+if [ "$(nproc)" -ge 4 ]; then
+  for w in ramp_unbalanced cg_fine nested_quad; do
+    last=$(python3 bench/e2e/run.py --workload "$w" --seconds 2 --trace 1 |
+           tail -n 1)
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[2])
+assert r["correct"] is True, (sys.argv[1], r.get("failed"))' "$w" "$last"
+    echo "e2e smoke $w: correct"
+  done
+else
+  echo "== e2e smoke: $(nproc) CPUs < 4, run.py refuses to run; skipping"
+fi
+
 cmake -B build-tsan -G Ninja -DHLS_SANITIZE=thread
 cmake --build build-tsan
-for t in deque_test runtime_test parking_test handoff_test parallel_for_test \
+for t in deque_test runtime_test parking_test wake_latency_test \
+         handoff_test parallel_for_test \
          hybrid_loop_test task_group_test stress_test \
          reduce_test sched_features_test micro_workload_test \
          telemetry_test telemetry_runtime_test faultsim_test \

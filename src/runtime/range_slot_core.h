@@ -44,13 +44,21 @@
 // the race retreats to exactly the committed frontier, leaving no hole.
 //
 // Lifetime safety mirrors the board's reader-count drain: a thief touches
-// the plain fields (ctx/runner/base/grain) only between the reader
-// announce and retreat while hi was observed open; close() waits out
-// every such reader before the owner may rewrite the fields for the next
-// span. ABA is structurally impossible: within one open, split only rises
-// except for loss-retreats that never pass a committed hi, clean hi only
-// falls, and a reopened slot cannot be reached by a stale CAS because the
-// drain waited for every thief holding a pre-close hi value.
+// the plain fields (ctx/runner/base) only between the reader announce and
+// retreat while hi was observed open; close() waits out every such reader
+// before the owner may rewrite the fields for the next span. ABA is
+// structurally impossible: within one open, split only rises except for
+// loss-retreats that never pass a committed hi, clean hi only falls, and a
+// reopened slot cannot be reached by a stale CAS because the drain waited
+// for every thief holding a pre-close hi value.
+//
+// The split floor (`grain`) is the one field the owner may change while
+// the span is open (set_grain: the sched layer lowers it when a grain
+// measures slow). It is a relaxed atomic with no ordering role: it only
+// sizes the owner's reservations and the thief's two-grain threshold, and
+// any value >= 1 keeps both halves of a steal non-empty. Exactly-once
+// never depends on it — the BUSY-CAS and the split re-read alone decide
+// commit or abort.
 //
 // Template parameters:
 //   Traits — synchronization traits (verify/sync.h); the plain fields use
@@ -148,7 +156,7 @@ class range_slot_core {
     ctx_.store(ctx);
     runner_.store(runner);
     base_.store(lo);
-    grain_.store(grain < 1 ? 1 : grain);
+    set_grain(grain);
     init_hi_off_.store(span);
     owner_open_.store(true);
     split_.store(0, std::memory_order_release);
@@ -156,6 +164,13 @@ class range_slot_core {
     // to any thief whose (seq_cst) hi load observes the open value.
     hi_.store(span, std::memory_order_release);
     return true;
+  }
+
+  // Owner only, while the span is open (or in open()): sets the split
+  // floor — the reserve minimum and half the steal threshold. Values below
+  // 1 read as 1.
+  void set_grain(std::int64_t grain) noexcept {
+    grain_.store(std::max<std::int64_t>(grain, 1), std::memory_order_relaxed);
   }
 
   // Reserves the owner's next batch: claims [cur, result) where `cur` is
@@ -173,7 +188,8 @@ class range_slot_core {
     const std::uint64_t h = wait_clean_hi();
     if (off >= h) return cur;  // thieves consumed the rest
     const std::uint64_t remaining = h - off;
-    const std::uint64_t g = static_cast<std::uint64_t>(grain_.load());
+    const auto g =
+        static_cast<std::uint64_t>(grain_.load(std::memory_order_relaxed));
     const std::uint64_t take =
         remaining <= g ? remaining : std::max(g, remaining >> 3);
     const std::uint64_t target = off + take;
@@ -270,7 +286,8 @@ class range_slot_core {
   }
 
   // One steal attempt: claims the upper half of the stealable region when
-  // it holds at least two grains (both halves stay >= grain). Like
+  // it holds at least two grains (both halves stay >= grain, read at the
+  // probe: the owner may lower it while the span is open). Like
   // ws_deque::steal, a lost CAS race — or a slot mid-transaction — reports
   // failure rather than retrying.
   stolen try_steal() noexcept {
@@ -282,13 +299,21 @@ class range_slot_core {
     std::uint64_t h = hi_.load(std::memory_order_seq_cst);
     if ((h & kBusyBit) == 0) {  // clean, and kClosed reads as busy
       const std::uint64_t s = split_.load(std::memory_order_seq_cst);
-      const auto g = static_cast<std::uint64_t>(grain_.load());
+      const auto g =
+          static_cast<std::uint64_t>(grain_.load(std::memory_order_relaxed));
       // Steal only when both halves stay >= grain; smaller remainders are
       // the owner's tail and not worth a migration. (h <= s is possible
       // when the owner announced past a committed steal and has not yet
       // retreated.)
       if (h > s && h - s >= 2 * g) {
         const std::uint64_t mid = s + (h - s) / 2;
+        // Snapshot the span before the claim. These are the plain reads
+        // the close() drain orders against the next open()'s rewrite: the
+        // CAS below can only hit this span's hi, because close() cannot
+        // return while this reader is announced.
+        const Runner run = runner_.load();
+        void* const ctx = ctx_.load();
+        const std::int64_t b = base_.load();
         // Tentative claim of [mid, h): BUSY makes the owner (reserve's
         // re-read, close) wait until this transaction resolves, so clean
         // hi values are exactly the committed steal frontier.
@@ -303,9 +328,8 @@ class range_slot_core {
             commit = split_.load(std::memory_order_seq_cst) <= mid;
           }
           if (commit) {
-            out.run = runner_.load();
-            out.ctx = ctx_.load();
-            const std::int64_t b = base_.load();
+            out.run = run;
+            out.ctx = ctx;
             out.lo = b + static_cast<std::int64_t>(mid);
             out.hi = b + static_cast<std::int64_t>(h);
             hi_.store(mid, std::memory_order_seq_cst);
@@ -347,9 +371,13 @@ class range_slot_core {
   var_t<void*> ctx_{};
   var_t<Runner> runner_{};
   var_t<std::int64_t> base_{};
-  var_t<std::int64_t> grain_{1};
   var_t<std::uint64_t> init_hi_off_{};  // owner-only: split detect at close
   var_t<bool> owner_open_{};            // owner-only: reopen guard
+
+  // The split floor: written by the owner only (open, set_grain), read by
+  // the owner's reserve and by thieves inside the reader window. Relaxed
+  // throughout; see the header comment.
+  atomic_t<std::int64_t> grain_{1};
 
   // The owner's claim frontier (offset from base_): raised by reserve's
   // announce, lowered only by the owner's own loss-retreat.

@@ -37,7 +37,11 @@ namespace hls {
 
 struct loop_options {
   // Sequential grain of divide-and-conquer loops (dynamic_ws and inside
-  // hybrid partitions). 0 selects Cilk's default min(2048, ceil(N / 8P)).
+  // hybrid partitions): a span's starting chunk, which is also its largest.
+  // Spans split below it when a grain measures slower than the split
+  // target (sched::kSplitTargetNs, a few microseconds): the loop's first
+  // such measurement lowers its split floor to the iterations that fit
+  // the target. 0 selects Cilk's default min(2048, ceil(N / 8P)).
   std::int64_t grain = 0;
 
   // Fixed chunk size for dynamic_shared. 0 selects the same formula as

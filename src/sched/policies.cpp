@@ -82,6 +82,25 @@ void loop_ctx::run_body(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   }
 }
 
+void loop_ctx::run_body_measured(rt::worker& w, std::int64_t lo,
+                                 std::int64_t hi) {
+  const std::uint64_t t0 = telemetry::steady_now_ns();
+  run_body(w, lo, hi);
+  const std::uint64_t dt = telemetry::steady_now_ns() - t0;
+  if (dt <= kSplitTargetNs) return;
+  // dt > target, so the fit is below hi - lo; computed in double because
+  // (hi - lo) * target can overflow for a huge explicit grain.
+  const auto fit = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(static_cast<double>(hi - lo) *
+                                   static_cast<double>(kSplitTargetNs) /
+                                   static_cast<double>(dt)));
+  std::int64_t cur = split_floor_.load(std::memory_order_relaxed);
+  while (fit < cur && !split_floor_.compare_exchange_weak(
+                          cur, fit, std::memory_order_relaxed,
+                          std::memory_order_relaxed)) {
+  }
+}
+
 void loop_ctx::run_range(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   if (lo >= hi) return;
   for (std::int64_t cur = lo; cur < hi; cur += grain) {
@@ -108,20 +127,36 @@ void loop_ctx::rethrow_if_failed() {
 // ------------------------------------------------------------ range_span
 
 void range_span::owner_loop(rt::worker& w, rt::range_slot& slot,
-                            loop_ctx* ctx, std::int64_t lo) {
+                            loop_ctx* ctx, std::int64_t lo,
+                            std::int64_t floor) {
   std::uint64_t refills = 0;
   std::int64_t cur = lo;
+  // The span's first chunk is timed; a floor of 1 cannot drop further.
+  bool measure = floor > 1;
   for (;;) {
-    // One RMW reserves the next max(grain, remaining/8) iterations; the
+    // One RMW reserves the next max(floor, remaining/8) iterations; the
     // chunks inside a reservation then run with no shared-word traffic at
     // all (cancellation/deadline/drain still poll per chunk in run_body).
     const std::int64_t res = slot.reserve(cur);
     if (res <= cur) break;  // thieves consumed everything above cur
     ++refills;
+    if (measure) {
+      const std::int64_t end = std::min(cur + floor, res);
+      ctx->run_body_measured(w, cur, end);
+      cur = end;
+      measure = false;
+    }
     while (cur < res) {
-      const std::int64_t end = std::min(cur + ctx->grain, res);
+      const std::int64_t end = std::min(cur + floor, res);
       ctx->run_body(w, cur, end);
       cur = end;
+    }
+    // Follow the loop's floor down, lowered by this span's first chunk or
+    // by any other span of the loop: smaller chunks and reservations here,
+    // and a lower steal threshold for thieves.
+    if (const std::int64_t f = ctx->split_floor(); f < floor) {
+      floor = f;
+      slot.set_grain(f);
     }
   }
   // Nothing above can throw (run_body captures body exceptions), so the
@@ -148,7 +183,8 @@ void range_span::run_stolen(rt::worker& w, void* ctx, std::int64_t lo,
 void range_span::run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
                      std::int64_t hi) {
   if (lo >= hi) return;
-  if (hi - lo <= ctx->grain) {
+  const std::int64_t floor = ctx->split_floor();
+  if (hi - lo <= floor) {
     ctx->run_chunk(w, lo, hi);
     return;
   }
@@ -156,7 +192,7 @@ void range_span::run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
   // loop nested in a chunk body, or a stolen range (recursive splitting: a
   // stolen range always fits kMaxSpan, having been carved from a span).
   rt::range_slot* slot =
-      w.open_span(ctx, &range_span::run_stolen, lo, hi, ctx->grain);
+      w.open_span(ctx, &range_span::run_stolen, lo, hi, floor);
   if (slot == nullptr) {
     // Every slot is open: spans are nested kSpanSlots deep on this worker
     // (or, beyond any real loop, the span exceeds kMaxSpan). Run the range
@@ -171,7 +207,7 @@ void range_span::run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
   // back to the bare targeted wake and let the woken worker probe.
   w.advertise_span(static_cast<std::uint64_t>(hi - lo));
   if (!w.donate_range()) w.rt().notify_work();
-  owner_loop(w, *slot, ctx, lo);
+  owner_loop(w, *slot, ctx, lo, floor);
 }
 
 // ---------------------------------------------------------------- static

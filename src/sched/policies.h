@@ -20,6 +20,14 @@
 
 namespace hls::sched {
 
+// Split target of a range span: a span splits its loop's iterations down
+// to pieces of about this much work. Several times the ~0.6 us a steal
+// costs on a 4-vCPU x86 guest, so a split piece pays for its migration,
+// yet small enough that a heavy tail no longer runs as one grain while
+// the other workers nap. 2 us and 8 us measured the same on the unbalanced
+// micro kernel. loop_ctx::run_body_measured applies it.
+inline constexpr std::uint64_t kSplitTargetNs = 4000;
+
 // State shared by every chunk of one parallel loop. It lives in the
 // posting worker's parallel_for frame, as does the policy record, and
 // everything else refers to it by plain pointer: each holder either holds
@@ -34,13 +42,29 @@ struct loop_ctx {
   loop_ctx(std::int64_t b, std::int64_t e, chunk_body body_,
            std::int64_t grain_, trace::loop_trace* trace_)
       : begin(b), end(e), body(body_), grain(grain_), trace(trace_),
-        remaining(e - b) {}
+        remaining(e - b), split_floor_(grain_) {}
 
   const std::int64_t begin;
   const std::int64_t end;
   const chunk_body body;
   const std::int64_t grain;
   trace::loop_trace* const trace;
+
+  // The smallest piece a range span of this loop hands out: the owner's
+  // reserve minimum and chunk size, half the steal threshold, and the
+  // run-whole cutoff of a stolen range. Starts at `grain` and only ever
+  // drops, when a span's first chunk measures a grain slower than
+  // kSplitTargetNs. A size with no ordering role, so relaxed.
+  std::int64_t split_floor() const noexcept {
+    return split_floor_.load(std::memory_order_relaxed);
+  }
+
+  // Runs one chunk like run_body, timed by one clock-read pair. When it
+  // took longer than kSplitTargetNs, lowers the split floor (a CAS-min) to
+  // the iterations that fit the target, at least one. A span calls it for
+  // its first chunk only.
+  void run_body_measured(rt::worker& w, std::int64_t lo, std::int64_t hi);
+
   alignas(kCacheLine) std::atomic<std::int64_t> remaining;
 
   // First exception thrown by any chunk body. Later chunks are skipped
@@ -108,18 +132,25 @@ struct loop_ctx {
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire);
   }
+
+  // Read on every span open and refill, written a few times per loop at
+  // most; it shares `skipped`'s line, which only a stopping loop writes.
+  std::atomic<std::int64_t> split_floor_;
 };
 
 // Lazy steal-driven range splitting: how dynamic_ws and hybrid partitions
 // run a span, nested loops included. The owner publishes the span in the
 // next free slot of its worker's slot stack (runtime/range_slot.h) and
-// consumes it in grain-sized chunks with zero allocations and one retire
-// for the whole span; thieves split off the upper half via the slot's CAS
-// and seed their own slots recursively, so the divide-and-conquer span
-// bound is preserved while the no-steal fast path costs two shared stores
-// per span total. The slot's two-word protocol carries full 64-bit spans.
-// The one fallback is a full stack (spans nested rt::worker::kSpanSlots
-// deep): the span then runs as bounded serial chunks.
+// consumes it in chunks of the loop's split floor with zero allocations
+// and one retire for the whole span; thieves split off the upper half via
+// the slot's CAS and seed their own slots recursively, so the
+// divide-and-conquer span bound is preserved while the no-steal fast path
+// costs two shared stores per span total. The slot's two-word protocol
+// carries full 64-bit spans. The floor starts at the grain; each span
+// times its first chunk, and a grain slower than kSplitTargetNs lowers it
+// for the whole loop, so a heavy tail splits below the grain. The one
+// fallback is a full stack (spans nested rt::worker::kSpanSlots deep): the
+// span then runs as bounded serial chunks.
 class range_span {
  public:
   static void run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
@@ -133,9 +164,10 @@ class range_span {
                          std::int64_t hi);
 
   // Owner reserve/execute loop over the span's slot (the innermost open
-  // one), then close, counter rollup, and the span's one retire.
+  // one), opened at split floor `floor`; then close, counter rollup, and
+  // the span's one retire.
   static void owner_loop(rt::worker& w, rt::range_slot& slot, loop_ctx* ctx,
-                         std::int64_t lo);
+                         std::int64_t lo, std::int64_t floor);
 };
 
 // Strict static partitioning: block k is executed serially by worker k and

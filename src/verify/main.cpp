@@ -50,6 +50,9 @@ const model_spec kSpecs[] = {
     {"range_word-broken-norecheck",
      "range_word with the thief's post-CAS split re-read skipped (overlap)",
      true, 3},
+    {"range_word-floor",
+     "range_word with the owner lowering the split floor between reserves",
+     false, 3},
     {"claim-bitmap",
      "bitmap claim flags + word-at-a-time leftover sweep, exactly-once",
      false, 3},
@@ -100,6 +103,7 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
   if (name == "range_word") return hls::verify::make_range_word_model(false);
   if (name == "range_word-broken-norecheck")
     return hls::verify::make_range_word_model(true);
+  if (name == "range_word-floor") return hls::verify::make_range_floor_model();
   if (name == "claim-bitmap")
     return hls::verify::make_claim_bitmap_model(false);
   if (name == "claim-bitmap-broken-nonatomic")

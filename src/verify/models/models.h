@@ -22,7 +22,9 @@
 //                once across owner reserve and thief steals, including a
 //                close-then-reopen of the same slot; the close() drain is
 //                what makes the reopen safe, and the vector-clock checker
-//                is what catches its absence.
+//                is what catches its absence. The range_word variants add
+//                the split/hi handshake itself, and a split floor the
+//                owner lowers while the thief steals.
 //   parking    — no lost wakeup: a consumer using the prepare/re-check/
 //                park protocol always terminates; skipping the re-check
 //                deadlocks (detected, with the interleaving that lost the
@@ -62,6 +64,11 @@ std::unique_ptr<model> make_range_slot_model(bool broken_no_drain);
 // steals without the Dekker split re-read (caught as a double-executed
 // iteration).
 std::unique_ptr<model> make_range_word_model(bool broken_no_recheck);
+
+// The same handshake with a moving split floor: the span opens at grain 3
+// and the owner lowers it to 1 (set_grain) between its first two reserves
+// while the thief steals. Exactly-once and no hole must still hold.
+std::unique_ptr<model> make_range_floor_model();
 
 // Batched claim-flag bitmap: run_claim_loop over bit-packed fetch_or
 // flags (one word, mirroring partition_set's R >= threshold storage) with

@@ -9,18 +9,19 @@
 //   * a successful steal is internally consistent (the stolen range and
 //     ctx belong to the runner it reports);
 //   * and — the reason this model exists — the close() drain protocol:
-//     every thief access to the plain span fields (ctx/runner/base/grain)
-//     must be ordered, by declared synchronization only, against the
-//     owner's field rewrite in the next open(). The fields are Traits::var,
-//     so the vector-clock checker enforces this. With
-//     range_slot_policy_no_drain (close is a plain relaxed store, no
-//     reader drain) there is an interleaving — thief wins its CAS on
-//     span 1's word, is preempted before reading the fields, the owner
+//     every thief access to the plain span fields (ctx/runner/base) must
+//     be ordered, by declared synchronization only, against the owner's
+//     field rewrite in the next open(). The fields are Traits::var, so the
+//     vector-clock checker enforces this. With range_slot_policy_no_drain
+//     (close is a plain relaxed store, no reader drain) there is an
+//     interleaving — the thief observes span 1 open and snapshots its
+//     fields for a claim, is preempted before its CAS, and the owner
 //     finishes, closes, reopens — where the thief's field reads race the
 //     reopen's writes; the harness reports the data race with the
 //     interleaving. Note span 2 deliberately packs the same initial word
 //     as span 1 ({0,4}); the monotonic-word argument alone does not save a
-//     reopened slot, only the drain does.
+//     reopened slot, only the drain does. (The split floor `grain` is a
+//     relaxed atomic, not a plain field: the owner may lower it mid-span.)
 #include <cstdint>
 #include <memory>
 #include <string>

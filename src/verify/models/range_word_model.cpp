@@ -21,6 +21,15 @@
 // at or above its target, so it committed) while the thief steals
 // [mid, hi) anyway — a double-executed iteration, which the harness
 // reports with the interleaving at preemption bound <= 3.
+//
+// The floor variant (`range_word-floor`) opens the span at grain 3 and
+// lowers the floor to 1 between the owner's first and second reserve
+// (set_grain, the sched layer's measured split floor), while the thief
+// steals. Its first batch leaves [3, 6) — under two old grains, so only a
+// probe that reads the lowered floor can split it — and the thief's
+// probes race the lowering itself. The same exactly-once / no-hole check
+// must hold: the floor only sizes batches and the steal threshold, never
+// the commit.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -37,6 +46,11 @@ namespace {
 // sides of every announce.
 constexpr std::int64_t kSpanLen = 6;
 
+// Opening floor of the floor variant: the first reserve takes
+// max(3, 6/8) = 3, leaving [3, 6), which only the lowered floor splits
+// (3 < 2 * 3).
+constexpr std::int64_t kOpenFloor = 3;
+
 template <typename Policy>
 class range_word_model_t final : public model {
   using slot_t = rt::range_slot_core<verify_traits, int, Policy>;
@@ -48,7 +62,8 @@ class range_word_model_t final : public model {
   };
 
  public:
-  explicit range_word_model_t(const char* name) : name_(name) {}
+  range_word_model_t(const char* name, bool lower_floor)
+      : name_(name), lower_floor_(lower_floor) {}
 
   const char* name() const override { return name_; }
   int threads() const override { return 2; }
@@ -58,15 +73,21 @@ class range_word_model_t final : public model {
   void run(int t) override {
     state& s = *st_;
     if (t == 0) {
-      check(s.slot.open(&s.ctx_cell, 1, 0, kSpanLen, 1),
+      check(s.slot.open(&s.ctx_cell, 1, 0, kSpanLen,
+                        lower_floor_ ? kOpenFloor : 1),
             "open failed on a closed slot");
       std::int64_t cur = 0;
+      bool lowered = !lower_floor_;
       for (;;) {
         const std::int64_t next = s.slot.reserve(cur);
         if (next == cur) break;
         check(next > cur && next <= kSpanLen, "reserve returned a bad batch");
         for (std::int64_t i = cur; i < next; ++i) ++s.executed[i];
         cur = next;
+        if (!lowered) {
+          s.slot.set_grain(1);
+          lowered = true;
+        }
       }
       s.slot.close();
     } else {
@@ -95,6 +116,7 @@ class range_word_model_t final : public model {
 
  private:
   const char* name_;
+  const bool lower_floor_;
   std::unique_ptr<state> st_;
 };
 
@@ -104,10 +126,15 @@ std::unique_ptr<model> make_range_word_model(bool broken_no_recheck) {
   if (broken_no_recheck) {
     return std::make_unique<
         range_word_model_t<rt::range_slot_policy_no_recheck>>(
-        "range_word-broken-norecheck");
+        "range_word-broken-norecheck", false);
   }
-  return std::make_unique<
-      range_word_model_t<rt::range_slot_policy_default>>("range_word");
+  return std::make_unique<range_word_model_t<rt::range_slot_policy_default>>(
+      "range_word", false);
+}
+
+std::unique_ptr<model> make_range_floor_model() {
+  return std::make_unique<range_word_model_t<rt::range_slot_policy_default>>(
+      "range_word-floor", true);
 }
 
 }  // namespace hls::verify

@@ -2,14 +2,17 @@
 // split/hi layout with full 64-bit spans, owner reserve, thief half-steal,
 // close/drain), raw concurrent exactly-once stress (owner advancing at lo
 // vs thief CAS at split — the TSAN target), including a >2^31-iteration
-// span, the scheduler integration (dynamic_ws and hybrid spans, recursive
-// thief splitting, nested loops on the worker's slot stack and its
-// full-stack fallback), and a 200-seed chaos sweep asserting no iteration
-// is lost or duplicated with the range-steal CAS under fault injection.
+// span and a split floor the owner lowers mid-span, the scheduler
+// integration (dynamic_ws and hybrid spans, recursive thief splitting,
+// nested loops on the worker's slot stack and its full-stack fallback),
+// the measured split floor (a heavy tail splits below the grain, a cheap
+// loop keeps it), and a 200-seed chaos sweep asserting no iteration is
+// lost or duplicated with the range-steal CAS under fault injection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -21,6 +24,7 @@
 #include "faultsim/faultsim.h"
 #include "runtime/range_slot.h"
 #include "sched/loop.h"
+#include "sched/policies.h"
 #include "trace/loop_trace.h"
 #include "util/bits.h"
 
@@ -157,14 +161,46 @@ TEST(RangeSlot, OpenRejectsInvalidSpansInRelease) {
   EXPECT_FALSE(slot.close());
 }
 
+// The split floor can drop while the span is open (the sched layer lowers
+// it when a grain measures slow): a region the old floor refused to split
+// — fewer than two old grains — becomes stealable, and the owner's
+// reserves and the thief's range still tile the span exactly once.
+TEST(RangeSlot, LoweredFloorLetsAThiefSplitBelowTheOldGrain) {
+  rt::range_slot slot;
+  ASSERT_TRUE(slot.open(&marker, &dummy_runner, 0, 40, 16));
+  // First batch: max(16, 40/8) = 16, leaving [16, 40) — 24 < 2 * 16.
+  ASSERT_EQ(slot.reserve(0), 16);
+  EXPECT_FALSE(slot.try_steal());
+
+  slot.set_grain(4);
+  const rt::range_slot::stolen s = slot.try_steal();
+  ASSERT_TRUE(s);
+  EXPECT_EQ(s.lo, 28);
+  EXPECT_EQ(s.hi, 40);
+  EXPECT_LT(s.hi - s.lo, 2 * 16);
+
+  // The owner walks the rest in floor-4 batches up to the thief's range.
+  std::int64_t cur = 16;
+  for (;;) {
+    const std::int64_t res = slot.reserve(cur);
+    if (res <= cur) break;
+    EXPECT_LE(res - cur, 4);
+    cur = res;
+  }
+  EXPECT_EQ(cur, s.lo);  // [0, 28) owner + [28, 40) thief: no hole, no overlap
+  EXPECT_TRUE(slot.close());
+}
+
 // The satellite stress: the owner advancing at lo races thief CASes at
-// split across repeated open/close eras. Every iteration must be claimed
+// split across `rounds` open/close eras. Every iteration must be claimed
 // exactly once — this is the suite's ThreadSanitizer target, exercising
 // the announce/drain lifetime protocol (a thief reading span fields while
-// the owner closes and immediately reopens).
-TEST(RangeSlot, ConcurrentSplitAdvanceExactlyOnce) {
+// the owner closes and immediately reopens). Each span opens at floor
+// `open_grain`; after the owner's first batch the floor becomes
+// `lowered_grain` (set_grain), as the measured split floor does.
+void split_advance_stress(std::int64_t open_grain, std::int64_t lowered_grain,
+                          int rounds) {
   constexpr std::int64_t kN = 1 << 12;
-  constexpr int kRounds = 200;
   constexpr int kThieves = 3;
 
   rt::range_slot slot;
@@ -192,16 +228,17 @@ TEST(RangeSlot, ConcurrentSplitAdvanceExactlyOnce) {
     });
   }
 
-  for (int round = 0; round < kRounds; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     for (auto& h : hits) h.store(0, std::memory_order_relaxed);
     claimed.store(0, std::memory_order_release);
-    ASSERT_TRUE(slot.open(&marker, &dummy_runner, 0, kN, 1));
+    ASSERT_TRUE(slot.open(&marker, &dummy_runner, 0, kN, open_grain));
     std::int64_t cur = 0;
     for (;;) {
       const std::int64_t res = slot.reserve(cur);
       if (res <= cur) break;
       mark(cur, res);
       cur = res;
+      slot.set_grain(lowered_grain);
     }
     slot.close();
     // Thieves may still be marking a range they claimed before the close;
@@ -216,6 +253,16 @@ TEST(RangeSlot, ConcurrentSplitAdvanceExactlyOnce) {
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : thieves) t.join();
+}
+
+TEST(RangeSlot, ConcurrentSplitAdvanceExactlyOnce) {
+  split_advance_stress(1, 1, 200);
+}
+
+// The floor drops from 256 to 1 after the owner's first batch while the
+// thieves probe, so they split regions the opening floor had refused.
+TEST(RangeSlot, ConcurrentFloorLoweringExactlyOnce) {
+  split_advance_stress(256, 1, 100);
 }
 
 // The 64-bit stress: the same owner-vs-thieves race over a span wider
@@ -463,6 +510,112 @@ TEST(RangeSpan, ExplicitGrainBoundsTraceChunks) {
   for (const trace::chunk_rec& c : tr.sorted_by_seq()) {
     EXPECT_LE(c.end - c.begin, 16);
   }
+}
+
+// ---- the measured split floor -----------------------------------------
+
+void spin_for(std::chrono::microseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// A loop whose last quarter spins 25 us per iteration on 4 workers, posted
+// once the three peers have parked (so the spans reach them as handoffs
+// and steals, as in a steady-state step). A span whose first chunk lands
+// in that quarter measures a grain far above the split target and lowers
+// the loop's floor, so the heavy quarter runs in more than two chunks per
+// grain. With the grain as a fixed floor it ran in about one chunk per
+// grain, plus the boundary pieces of stolen ranges.
+void expect_heavy_tail_splits_below_the_grain(policy pol) {
+  constexpr std::int64_t kN = 512;
+  constexpr std::int64_t kGrain = 8;
+  constexpr std::int64_t kHeavyLo = kN - kN / 4;
+  constexpr std::uint32_t kWorkers = 4;
+  rt::runtime rt(kWorkers);
+  while (rt.parking().waiters() != kWorkers - 1) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  trace::loop_trace tr(kWorkers);
+  loop_options opt;
+  opt.grain = kGrain;
+  opt.trace = &tr;
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kN));
+  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+  const loop_result res = for_each(
+      rt, 0, kN, pol,
+      [&](std::int64_t i) {
+        if (i >= kHeavyLo) spin_for(std::chrono::microseconds(25));
+        hits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                    std::memory_order_relaxed);
+      },
+      opt);
+  ASSERT_TRUE(res.ok());
+  for (std::int64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+        << policy_name(pol) << " iteration " << i;
+  }
+  EXPECT_EQ(tr.total_iterations(), kN);
+  std::int64_t heavy_chunks = 0;
+  for (const trace::chunk_rec& c : tr.sorted_by_seq()) {
+    EXPECT_LE(c.end - c.begin, kGrain) << "the grain stays the largest chunk";
+    if (c.end > kHeavyLo) ++heavy_chunks;
+  }
+  EXPECT_GT(heavy_chunks, 2 * (kN - kHeavyLo) / kGrain) << policy_name(pol);
+}
+
+TEST(SplitFloor, DynamicWsHeavyTailSplitsBelowTheGrain) {
+  expect_heavy_tail_splits_below_the_grain(policy::dynamic_ws);
+}
+
+TEST(SplitFloor, HybridHeavyTailSplitsBelowTheGrain) {
+  expect_heavy_tail_splits_below_the_grain(policy::hybrid);
+}
+
+// A cheap body never lowers the floor. On one worker nobody steals, so the
+// chunk structure is deterministic: max(grain, rest/8) reservations cut
+// into grain-sized chunks, exactly as with a fixed floor; and the loop's
+// floor is still its grain after a span ran. One loop can still measure a
+// slow first chunk: a preemption, a page fault or a sanitizer's lazily
+// grown fake stack inside those 16 iterations lowers that loop's floor,
+// as it should. So each case gets five loops, and the fewest chunks among
+// them must be the fixed-floor count; a floor that every cheap loop
+// lowered fails all five.
+TEST(SplitFloor, CheapBodyKeepsTheGrainAsItsFloor) {
+  constexpr std::int64_t kN = 4096;
+  constexpr std::int64_t kGrain = 16;
+  constexpr int kLoops = 5;
+  std::uint64_t expect = 0;
+  for (std::int64_t cur = 0; cur < kN;) {
+    const std::int64_t rest = kN - cur;
+    const std::int64_t take =
+        rest <= kGrain ? rest : std::max(kGrain, rest / 8);
+    expect += static_cast<std::uint64_t>((take + kGrain - 1) / kGrain);
+    cur += take;
+  }
+  rt::runtime rt(1);
+  loop_options opt;
+  opt.grain = kGrain;
+  for (const policy pol : {policy::dynamic_ws, policy::hybrid}) {
+    std::uint64_t fewest = ~std::uint64_t{0};
+    for (int rep = 0; rep < kLoops; ++rep) {
+      const telemetry::counter_set before = rt.tel().totals();
+      ASSERT_TRUE(parallel_for(rt, 0, kN, pol,
+                               [](std::int64_t, std::int64_t) {}, opt)
+                      .ok());
+      fewest = std::min(fewest, (rt.tel().totals() - before).chunks_run);
+    }
+    EXPECT_EQ(fewest, expect) << policy_name(pol);
+  }
+  const auto noop = [](std::int64_t, std::int64_t) {};
+  std::int64_t highest_floor = 0;
+  for (int rep = 0; rep < kLoops; ++rep) {
+    sched::loop_ctx ctx(0, kN, noop, kGrain, nullptr);
+    sched::range_span::run(rt.current_worker(), &ctx, 0, kN);
+    EXPECT_TRUE(ctx.finished());
+    highest_floor = std::max(highest_floor, ctx.split_floor());
+  }
+  EXPECT_EQ(highest_floor, kGrain);
 }
 
 // ---- chaos sweep (satellite) -----------------------------------------

@@ -178,27 +178,6 @@ TEST(Runtime, WorkerRngSeedsAreIndependent) {
   EXPECT_NE(a, c);
 }
 
-// Regression (lost wakeup): a notify_work() that lands between a worker's
-// last failed steal probe and its waiter announcement used to be dropped,
-// leaving the worker to ride out the full timed wait with work pending.
-// idle_park re-checks for visible work after prepare_park; with a task
-// already queued it must cancel the park immediately instead of blocking.
-TEST(Runtime, IdleParkBailsOutWhenWorkIsVisible) {
-  runtime rt(1);
-  worker& w = rt.current_worker();
-  std::atomic<int> count{0};
-  w.push(new counting_task(count));
-  const auto t0 = std::chrono::steady_clock::now();
-  const runtime::park_outcome out = rt.idle_park(w);
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(out.blocked);
-  // Far below the park backstop: the re-check fired, not the timeout.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(dt).count(),
-            150);
-  EXPECT_TRUE(rt.work_visible(0));
-  w.work_until([&] { return count.load() == 1; });
-}
-
 TEST(Runtime, IdleParkBailsOutWhenBoardIsOpen) {
   runtime rt(1);
   struct never_done : loop_record {
@@ -223,46 +202,6 @@ TEST(Runtime, IdleParkReportsRealWaits) {
   const runtime::park_outcome out = rt.idle_park(rt.current_worker());
   EXPECT_TRUE(out.blocked);
   EXPECT_EQ(out.reason, parking_lot::wake_reason::timeout);
-}
-
-// Regression (untracked completion edge): a completion broadcast
-// (loop_ctx::retire / task_group drain) that fires after a joiner's last
-// predicate check but before it announces itself as a waiter finds nobody
-// to unpark — the edge is visible only through the predicate itself. The
-// re-check must therefore cover the caller's predicate, not just
-// work_visible(): with the predicate already satisfied and no work
-// anywhere, the park must cancel instead of riding out the backstop.
-TEST(Runtime, IdleParkBailsOutWhenPredicateAlreadySatisfied) {
-  runtime rt(1);
-  EXPECT_FALSE(rt.work_visible(0));
-  const bool completed = true;
-  const auto pred = [&] { return completed; };
-  const auto t0 = std::chrono::steady_clock::now();
-  const runtime::park_outcome out =
-      rt.idle_park(rt.current_worker(), park_predicate(pred));
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(out.blocked);
-  // Far below the park backstop: the re-check fired, not the timeout.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(dt).count(),
-            150);
-}
-
-// A wake sent while a worker is between prepare_park and park() must not
-// be lost: unpark_one bumps the announced waiter's epoch, so the later
-// park() call consumes the ticket and returns without blocking.
-TEST(Runtime, UnparkBeforeParkIsNotLost) {
-  runtime rt(1);
-  parking_lot& pl = rt.parking();
-  const std::uint32_t ticket = pl.prepare_park(0);
-  EXPECT_TRUE(pl.unpark_one());
-  const auto t0 = std::chrono::steady_clock::now();
-  const parking_lot::park_result res =
-      pl.park(0, ticket, std::chrono::microseconds(200));
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(res.waited);
-  EXPECT_EQ(res.reason, parking_lot::wake_reason::notified);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(dt).count(),
-            150);
 }
 
 TEST(Runtime, SequentialRuntimesDoNotInterfere) {

@@ -66,6 +66,17 @@ TEST(VerifyRangeWord, SplitHiHandshakeExactlyOnceExhaustiveBound3) {
   EXPECT_TRUE(res.exhausted);
 }
 
+TEST(VerifyRangeWord, LoweredFloorExactlyOnceExhaustiveBound3) {
+  // The owner lowers the split floor between two reserves while the thief
+  // steals: the region its first batch leaves is splittable only at the
+  // lowered floor, and the thief's probes race the lowering. Exactly-once
+  // and no hole at the frontier still hold.
+  auto m = make_range_floor_model();
+  const auto res = explore(*m, exhaustive(3));
+  EXPECT_TRUE(res.ok) << res.failure;
+  EXPECT_TRUE(res.exhausted);
+}
+
 TEST(VerifyClaimBitmap, BatchedSweepExactlyOnceExhaustiveUnbounded) {
   // Bit-packed claim flags + the word-at-a-time leftover sweep; the space
   // is small enough to exhaust unbounded, so this is a full proof (modulo
