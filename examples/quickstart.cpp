@@ -5,12 +5,11 @@
 //                             [--metrics-out=metrics.jsonl] [--chaos=SPEC]
 //                             [--park-backstop-us=200]
 //                             [--progress-budget-us=US] [--watchdog=0|1]
-//                             [--max-inflight-loops=K]
 //
 // Creates a work-stealing runtime, runs a parallel loop under the paper's
 // hybrid scheduling scheme, and shows that switching the policy is a
 // one-argument change. Every runtime knob — team size, park backstop,
-// watchdog progress budget, admission gate, chaos spec — comes through
+// watchdog progress budget, push handoff, chaos spec — comes through
 // runtime_options::from_cli, so the flags here are the same ones every
 // driver accepts. --telemetry prints the scheduler counter report at
 // exit; --trace-out writes a Chrome trace (open in Perfetto) of every

@@ -246,16 +246,33 @@ HLS_STALL_SWEEP_SEEDS=200 build/tests/stall_sweep_test --gtest_brief=1
 # tile its iteration space exactly once, so run.py's last stdout line
 # reads "correct": true. ramp_unbalanced runs the heavy tails the measured
 # split floor cuts below the grain; cg_fine the short loops; nested_quad
-# the nested spans. run.py refuses to run on fewer than 4 CPUs (its
-# numbers are for P = 4), so the smoke skips with a notice there.
+# the nested spans. Under --trace 1, "correct" also needs every per-layer
+# metric defined, and a ratio reads n/a when its denominator is zero (a
+# short run that sent no handoff), so a failure prints the failed-step
+# count and the per-layer metrics that came back missing, named from
+# run.py's own list of reported metrics. run.py refuses to run on fewer
+# than 4 CPUs (its numbers are for P = 4), so the smoke skips with a
+# notice there.
 echo "== e2e smoke"
 if [ "$(nproc)" -ge 4 ]; then
   for w in ramp_unbalanced cg_fine nested_quad; do
+    # run.py exits 1 when "correct" is false, after printing its JSON
+    # line; the check below, not set -e, must see that line to say why.
     last=$(python3 bench/e2e/run.py --workload "$w" --seconds 2 --trace 1 |
-           tail -n 1)
-    python3 -c 'import json, sys
-r = json.loads(sys.argv[2])
-assert r["correct"] is True, (sys.argv[1], r.get("failed"))' "$w" "$last"
+           tail -n 1) || true
+    python3 - "$w" "$last" <<'EOF'
+import json
+import sys
+sys.dont_write_bytecode = True  # leave bench/e2e as checked out
+sys.path.insert(0, "bench/e2e")
+from run import DRIVER_PER_LAYER
+w, r = sys.argv[1], json.loads(sys.argv[2])
+if r["correct"] is not True:
+    missing = [n for n, _ in DRIVER_PER_LAYER if n not in r["metrics"]]
+    print(f"e2e smoke {w}: failed {r['failed']} of {r['attempted']} "
+          f"steps; missing metrics: {', '.join(missing) or 'none'}")
+assert r["correct"] is True, w
+EOF
     echo "e2e smoke $w: correct"
   done
 else

@@ -6,18 +6,14 @@
 
 namespace hls::rt {
 
-int board::post(loop_record* rec, std::uint32_t poster) {
+int board::post(loop_record* rec) {
   std::lock_guard<std::mutex> lk(mu_);
   for (int s = 0; s < kSlots; ++s) {
     if (!slots_[s].occupied) {
       slots_[s].occupied = true;
-      ++open_;
       // release publishes the record's fields to visitors' confirming
       // ptr re-read (visit()/request_rescue()).
       slots_[s].ptr.store(rec, std::memory_order_release);
-      if (poster != kNoPoster) {
-        poster_.store(poster, std::memory_order_relaxed);
-      }
       // Posts serialize on mu_, so a plain increment suffices.
       posts_.store(posts_.load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
@@ -42,9 +38,6 @@ void board::clear(int s) {
   }
   std::lock_guard<std::mutex> lk(mu_);
   slots_[s].occupied = false;
-  // Drop the affinity hint once the board drains, so thieves stop paying a
-  // probe for a loop that no longer exists.
-  if (--open_ == 0) poster_.store(kNoPoster, std::memory_order_relaxed);
 }
 
 bool board::visit(worker& w) {

@@ -61,17 +61,13 @@ class board {
   board(const board&) = delete;
   board& operator=(const board&) = delete;
 
-  // "No poster" value for poster_hint().
-  static constexpr std::uint32_t kNoPoster = 0xffffffffu;
-
   // Publishes a loop; returns the slot to pass to clear(), or -1 when all
   // slots are occupied (deep help-first nesting). An unposted loop is still
   // correct: the posting worker completes it single-handedly and thieves
   // can still split its open spans through ordinary steals; only
-  // board-mediated arrival is lost. `poster` (a worker id)
-  // records who posted, feeding the thieves' victim-affinity heuristic.
-  // The record is not owned: it must outlive the matching clear().
-  int post(loop_record* rec, std::uint32_t poster = kNoPoster);
+  // board-mediated arrival is lost. The record is not owned: it must
+  // outlive the matching clear().
+  int post(loop_record* rec);
 
   // Unpublishes the slot and blocks until in-flight visitors leave it;
   // once it returns no visitor touches the record again. Must only be
@@ -90,17 +86,6 @@ class board {
   // same readers/re-read lifetime protocol as visit(), so it never races
   // with clear().
   void request_rescue() noexcept;
-
-  // The worker id of the most recent post, or kNoPoster once the board
-  // drains. A thief probes this worker right after its last successful
-  // victim: the poster runs its share of the loop as a span published in
-  // its range slot (lazy splitting, runtime/range_slot.h), and the probe
-  // tries that slot before the deque, so the hint points the thief at the
-  // open span a split can take half of. Racy and advisory — a stale hint
-  // costs one extra probe, nothing more.
-  std::uint32_t poster_hint() const noexcept {
-    return poster_.load(std::memory_order_relaxed);
-  }
 
   // Number of posts so far. A steal round compares it with the value it
   // read before its board visit and ends early when it moved: a new loop
@@ -128,9 +113,6 @@ class board {
 
   std::mutex mu_;  // post/clear bookkeeping only
   slot slots_[kSlots];
-  int open_ = 0;   // occupied slots; guarded by mu_
-  // Written together by post and read together by steal rounds.
-  std::atomic<std::uint32_t> poster_{kNoPoster};
   std::atomic<std::uint64_t> posts_{0};
 };
 

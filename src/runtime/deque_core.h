@@ -306,7 +306,8 @@ class ws_deque_core {
     return buf[0];
   }
 
-  // Racy size estimate; used only for victim-selection heuristics.
+  // Racy size estimate; used only by advisory checks (the idle re-check
+  // and the deep-push donation trigger).
   std::int64_t size_estimate() const noexcept {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     // The mask also strips a transient lock bit, yielding the pre-lock

@@ -21,13 +21,10 @@ class task;
 
 // What a wake carries: either a pre-split loop range (executed through the
 // same runner thunk a range-slot steal uses, so the receiver opens its own
-// slot and keeps splitting recursively) or a surplus deque task. `donor`
-// feeds the receiver's victim-affinity hint — the pusher is likely to stay
-// loaded.
+// slot and keeps splitting recursively) or a surplus deque task.
 struct handoff_item {
   enum class kind : std::uint8_t { range, task };
   kind k = kind::range;
-  std::uint32_t donor = 0;
   range_span_runner run = nullptr;  // range payloads
   void* ctx = nullptr;              // range payloads
   std::int64_t lo = 0;

@@ -82,8 +82,6 @@ runtime_options runtime_options::from_cli(const cli& c) {
       c.get_int_in("progress-budget-us", 0, 0, 60'000'000));
   o.watchdog = c.get_bool("watchdog", true);
   o.work_handoff = c.get_bool("work-handoff", true);
-  o.max_inflight_loops = static_cast<std::uint32_t>(
-      c.get_int_in("max-inflight-loops", 0, 0, 1 << 20));
   o.chaos = c.get("chaos", "");
   o.validate();
   return o;
@@ -96,7 +94,6 @@ runtime::runtime(const runtime_options& opt)
     : opt_(checked_options(opt)),
       tel_(opt_.num_workers),
       parking_(tel_.num_workers()),
-      loads_(tel_.num_workers()),
       handoff_(new handoff_slot[tel_.num_workers()]) {
   const std::uint32_t requested = opt_.num_workers;
   std::uint64_t sm = opt_.seed;
@@ -277,26 +274,6 @@ runtime::park_outcome runtime::backoff_park(worker& w,
   }
   const parking_lot::park_result res = parking_.park(w.id(), ticket, nap);
   return {res.waited, res.reason};
-}
-
-bool runtime::try_admit_loop() noexcept {
-  const std::uint32_t limit = opt_.max_inflight_loops;
-  if (limit == 0) return true;
-  std::uint32_t cur = inflight_loops_.load(std::memory_order_relaxed);
-  while (cur < limit) {
-    if (inflight_loops_.compare_exchange_weak(cur, cur + 1,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void runtime::release_loop() noexcept {
-  if (opt_.max_inflight_loops != 0) {
-    inflight_loops_.fetch_sub(1, std::memory_order_release);
-  }
 }
 
 void runtime::worker_main(std::uint32_t id) {

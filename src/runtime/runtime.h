@@ -19,7 +19,6 @@
 
 #include "runtime/board.h"
 #include "runtime/handoff.h"
-#include "runtime/load_board.h"
 #include "runtime/parking.h"
 #include "runtime/worker.h"
 #include "telemetry/registry.h"
@@ -63,11 +62,6 @@ struct runtime_options {
   // set, must be in [10us, 60s].
   std::chrono::microseconds progress_budget{0};
 
-  // Admission gate: parallel_for submissions beyond this many concurrently
-  // in-flight loops execute serially on the submitting worker (bounded
-  // backpressure) instead of posting to the board. 0 = unlimited.
-  std::uint32_t max_inflight_loops = 0;
-
   // Push-based work handoff (docs/runtime.md "Push-based handoff"): when
   // true, a worker publishing fresh work while peers are parked pre-splits
   // a range / pops a surplus task into the target's handoff mailbox before
@@ -91,7 +85,7 @@ struct runtime_options {
   void validate() const;
 
   // Parses --workers, --park-backstop-us, --progress-budget-us,
-  // --watchdog=0|1, --work-handoff=0|1, --max-inflight-loops, --chaos.
+  // --watchdog=0|1, --work-handoff=0|1, --chaos.
   // Unset flags keep the defaults above (num_workers falls back to
   // hardware_concurrency).
   static runtime_options from_cli(const cli& c);
@@ -202,18 +196,6 @@ class runtime {
   park_outcome backoff_park(worker& w, std::chrono::nanoseconds nap,
                             park_predicate done = {});
 
-  // ---- admission gate (runtime_options::max_inflight_loops) ----------
-  // parallel_for brackets each parallel submission with try_admit_loop /
-  // release_loop. A false return means the gate is full: the caller must
-  // degrade to bounded serial-chunk execution on its own thread (the
-  // backpressure path) instead of posting to the board. With no limit
-  // configured, admission always succeeds and costs one branch.
-  bool try_admit_loop() noexcept;
-  void release_loop() noexcept;
-  std::uint32_t inflight_loops() const noexcept {
-    return inflight_loops_.load(std::memory_order_relaxed);
-  }
-
   // The health watchdog, or nullptr when runtime_options::watchdog is
   // false (runtime/health.h).
   health_watchdog* watchdog() noexcept { return watchdog_.get(); }
@@ -237,11 +219,6 @@ class runtime {
     return handoff_[w];
   }
   bool handoff_enabled() const noexcept { return opt_.work_handoff; }
-
-  // The per-worker load board (advisory deque-depth / span-width hints
-  // feeding victim selection and the donor path).
-  load_board& loads() noexcept { return loads_; }
-  const load_board& loads() const noexcept { return loads_; }
 
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);
@@ -285,14 +262,12 @@ class runtime {
   runtime_options opt_;      // validated copy
   telemetry::registry tel_;  // before workers_: workers reference slots
   parking_lot parking_;
-  load_board loads_;
   std::unique_ptr<handoff_slot[]> handoff_;  // one mailbox per worker
   std::vector<std::unique_ptr<worker>> workers_;
   std::vector<std::thread> threads_;
   board board_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint32_t> active_workers_{1};
-  std::atomic<std::uint32_t> inflight_loops_{0};
   std::unique_ptr<health_watchdog> watchdog_;  // reset first in ~runtime
 
   // Chaos injector: raw pointer for the hot-path load; keepers (current +

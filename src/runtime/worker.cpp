@@ -29,7 +29,6 @@ worker::worker(runtime& rt, std::uint32_t id, std::uint64_t seed,
 
 void worker::push(task* t) {
   deque_.push(t);
-  advertise_deque();
   // Deep-deque donation: with enough local backlog, hand one queued task
   // straight to a parked peer instead of waking it to probe. The guard
   // inside donate_surplus_task keeps the common no-sleeper case at one
@@ -52,14 +51,6 @@ range_slot* worker::open_span(void* ctx, range_slot::span_runner run,
 
 bool worker::close_span() noexcept { return ranges_[--open_spans_].close(); }
 
-void worker::advertise_deque() noexcept {
-  rt_.loads().publish_deque(id_, deque_.size_estimate());
-}
-
-void worker::advertise_span(std::uint64_t width) noexcept {
-  rt_.loads().publish_span(id_, width);
-}
-
 bool worker::try_consume_handoff() { return try_consume_handoff_from(id_); }
 
 bool worker::try_consume_handoff_from(std::uint32_t v) {
@@ -71,11 +62,6 @@ bool worker::try_consume_handoff_from(std::uint32_t v) {
 
 void worker::run_handoff(handoff_item& it) {
   telemetry::bump(tel_.counters.handoffs_consumed);
-  // Affinity follows the donor: a worker with surplus to push is the most
-  // likely place the next steal lands.
-  if (it.donor != id_ && it.donor < rt_.num_workers()) {
-    last_victim_ = it.donor;
-  }
   if (it.k == handoff_item::kind::range) {
     it.run(*this, it.ctx, it.lo, it.hi);
   } else {
@@ -157,7 +143,6 @@ bool worker::donate_range() {
   }
   handoff_item it;
   it.k = handoff_item::kind::range;
-  it.donor = id_;
   it.run = s.run;
   it.ctx = s.ctx;
   it.lo = s.lo;
@@ -185,14 +170,11 @@ bool worker::donate_surplus_task() {
   }
   handoff_item it;
   it.k = handoff_item::kind::task;
-  it.donor = id_;
   it.t = t;
   box->publish(it);
-  advertise_deque();
   handoff_item back;
   if (deliver_or_reclaim(*box, target, 1, &back)) return true;
   deque_.push(back.t);  // reclaimed: the task goes back where it came from
-  advertise_deque();
   return false;
 }
 
@@ -247,14 +229,13 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
   // The round's one accounting path, called once per round: for a hit as
   // the work is acquired (before it runs), for a miss or an early end as
   // the round returns. Every probe made counts in steal_probes.
-  const auto settle = [&](round_end how, std::uint32_t v, bool affinity) {
+  const auto settle = [&](round_end how) {
     end = how;
     telemetry::bump(tel_.counters.steal_probes, probes);
     if (probes > 0) tel_.steal_probe_hist.record(probes);
-    if (end != round_end::hit) return;
-    telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
-    if (affinity) telemetry::bump(tel_.counters.affinity_hits);
-    last_victim_ = v;
+    if (end == round_end::hit) {
+      telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
+    }
   };
 
   // Probes one victim. Returns true when the round is over: the probe hit
@@ -263,7 +244,7 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
   // probe — or the caller's wait is over. On a deque hit a batch (up to
   // half the victim's visible tasks) lands in the local deque and the
   // oldest stolen task runs.
-  const auto probe = [&](std::uint32_t v, bool affinity) -> bool {
+  const auto probe = [&](std::uint32_t v) -> bool {
     if (brd.posts() != posts_seen) {
       end = round_end::posted;
       return true;
@@ -292,7 +273,7 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
         // Forced failed split CAS: the span stays whole for the owner.
         telemetry::bump(tel_.counters.faults_injected);
       } else if (range_slot::stolen s = rs.try_steal()) {
-        settle(round_end::hit, v, affinity);
+        settle(round_end::hit);
         telemetry::bump(tel_.counters.range_steals);
         if (tel_.events_on()) {
           tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
@@ -304,7 +285,7 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
     }
     std::uint32_t k = 0;
     if (task* t = victim.deque().steal_batch(deque_, &k)) {
-      settle(round_end::hit, v, affinity);
+      settle(round_end::hit);
       telemetry::bump(tel_.counters.steals);
       telemetry::bump(tel_.counters.batch_steal_tasks, k);
       if (tel_.events_on()) {
@@ -312,7 +293,6 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
                    static_cast<std::int64_t>(probes),
                    telemetry::event_kind::steal});
       }
-      advertise_deque();
       // Surplus tasks just landed in this deque; hand one straight to a
       // parked peer (wake that carries work), or chain a plain wake so
       // another idle worker picks them up while this one runs the first.
@@ -327,52 +307,24 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
     // guarantees it.
     handoff_item it;
     if (rt_.handoff_of(v).full() && rt_.handoff_of(v).try_take(it)) {
-      settle(round_end::hit, v, affinity);
-      run_handoff(it);  // re-points last_victim_ at the donor
+      settle(round_end::hit);
+      run_handoff(it);
       return true;
     }
     return false;
   };
-  // A hit settled as it happened; anything else settles here.
-  const auto finish = [&] {
-    if (end != round_end::hit) settle(end, kNoVictim, false);
-    return end;
-  };
 
-  // Affinity order: last successful victim first, then the board's poster
-  // hint (the worker whose range slot holds the open loop's span), then
-  // random victims.
-  std::uint32_t tried = kNoVictim;
-  if (last_victim_ != kNoVictim && last_victim_ != id_ && last_victim_ < p) {
-    tried = last_victim_;
-    if (probe(last_victim_, true)) return finish();
-    last_victim_ = kNoVictim;  // went dry; forget it
-  }
-  const std::uint32_t hint = brd.poster_hint();
-  if (hint != board::kNoPoster && hint != id_ && hint != tried && hint < p) {
-    if (probe(hint, true)) return finish();
-  }
-  // Load-board pick: the most-loaded advertised victim, before rolling the
-  // dice. The board is advisory (relaxed stores at the owners' work
-  // boundaries), so a hit is counted only when the probe actually lands.
-  const std::uint32_t busiest = rt_.loads().busiest(id_);
-  if (busiest < p && busiest != tried && busiest != hint) {
-    if (probe(busiest, false)) {
-      if (end == round_end::hit) {
-        telemetry::bump(tel_.counters.load_board_hits);
-      }
-      return finish();
-    }
-  }
-  // Up to P random victim probes (standard randomized stealing; the round
-  // bound keeps the idle loop responsive to board posts).
+  // Up to P probes of uniformly random victims (randomized work stealing;
+  // the round bound keeps the idle loop responsive to board posts).
   for (std::uint32_t attempt = 0; attempt < p; ++attempt) {
     const auto victim =
         static_cast<std::uint32_t>(rng_.next_below(p - 1));
     const std::uint32_t v = victim >= id_ ? victim + 1 : victim;
-    if (probe(v, false)) return finish();
+    if (probe(v)) break;
   }
-  return finish();
+  // A hit settled as it happened; anything else settles here.
+  if (end != round_end::hit) settle(end);
+  return end;
 }
 
 bool worker::try_progress(park_predicate done) {
@@ -383,10 +335,6 @@ bool worker::try_progress(park_predicate done) {
     run(t);
     return true;
   }
-  // Empty pop: refresh the load board so a stale positive from earlier
-  // pushes stops attracting probes (pops themselves don't republish — the
-  // hot path stays store-free).
-  advertise_deque();
   board& b = rt_.loop_board();
   for (;;) {
     // Read before the visit, so a post the visit may have missed ends the

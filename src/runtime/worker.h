@@ -86,10 +86,8 @@ class worker {
 
   // ---- push-based work handoff (docs/runtime.md) --------------------
   // Consumes this worker's own handoff mailbox, if full: runs the payload
-  // (a pre-split range or a surplus task) and adopts the donor as the
-  // victim-affinity hint — the worker that had surplus to push is the most
-  // likely next steal target. Checked FIRST in try_progress, so a woken
-  // worker executes its delivered work with zero steal probes.
+  // (a pre-split range or a surplus task). Checked FIRST in try_progress,
+  // so a woken worker executes its delivered work with zero steal probes.
   bool try_consume_handoff();
 
   // Poach/drain variant: consumes worker v's mailbox from this worker.
@@ -110,11 +108,6 @@ class worker {
   // reclaimed) and the caller must fall back to notify_work().
   bool donate_range();
   bool donate_surplus_task();
-
-  // Owner-side load-board publication (relaxed, advisory): current deque
-  // depth, and the width of the currently open span (0 on close).
-  void advertise_deque() noexcept;
-  void advertise_span(std::uint64_t width) noexcept;
 
   worker_stats stats() const noexcept { return tel_.counters.snapshot(); }
 
@@ -176,16 +169,14 @@ class worker {
   // caller's board visit (`posted`) or the caller's wait is over (`done`).
   enum class round_end : std::uint8_t { hit, miss, posted, done };
 
-  // One round of steal attempts: affinity probes first (last successful
-  // victim, then the board's poster hint), then the load board's
-  // most-loaded advertisement, then random victims. Successful probes use
-  // batched stealing (ws_deque::steal_batch). `posts_seen` is the board's
-  // post count read before the caller's visit; it and `done` are checked
-  // before every probe.
+  // One round of steal attempts: up to P probes of uniformly random
+  // victims (PAPER.md §1, steps 3-4). Each probe tries the victim's range
+  // slots, then a batched deque steal (ws_deque::steal_batch), then its
+  // handoff mailbox. `posts_seen` is the board's post count read before
+  // the caller's visit; it and `done` are checked before every probe.
   round_end try_steal_round(std::uint64_t posts_seen, park_predicate done);
 
-  // Runs a payload taken from a handoff mailbox and adopts its donor as
-  // the victim-affinity hint.
+  // Runs a payload taken from a handoff mailbox.
   void run_handoff(handoff_item& it);
 
   // Handoff donor plumbing (worker.cpp): target selection + mailbox claim,
@@ -193,9 +184,6 @@ class worker {
   handoff_slot* claim_handoff_target(std::uint32_t* target_out);
   bool deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
                           std::int64_t iters, handoff_item* back);
-
-  // "No remembered victim" sentinel for last_victim_.
-  static constexpr std::uint32_t kNoVictim = 0xffffffffu;
 
   // Deque depth at which a push prefers handing the task to a parked peer
   // over a bare wake: below it the local backlog is small enough that the
@@ -209,12 +197,6 @@ class worker {
   std::uint32_t open_spans_ = 0;  // owner only: ranges_[0, open_spans_)
   xoshiro256ss rng_;
   telemetry::worker_state& tel_;
-
-  // Victim affinity: the last victim this worker stole from successfully.
-  // Work distribution is bursty — a victim with surplus once likely still
-  // has surplus — so the next round probes it before rolling the dice.
-  // Reset to kNoVictim when the remembered victim comes up empty.
-  std::uint32_t last_victim_ = kNoVictim;
 
   // Heartbeat words, padded so the watchdog's cross-thread reads never
   // false-share with the worker's hot state.

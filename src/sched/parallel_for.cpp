@@ -205,34 +205,6 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     return res;
   }
 
-  // Admission gate (runtime_options::max_inflight_loops): past the
-  // in-flight limit the runtime sheds load by serializing the newcomer on
-  // its posting worker — bounded chunks through run_range, so cancel /
-  // deadline / skip accounting behave exactly like the parallel paths —
-  // instead of piling more records onto the board. RAII so every exit
-  // (including body rethrow) releases the admitted slot.
-  struct admission_guard {
-    rt::runtime& rt;
-    const bool admitted;
-    explicit admission_guard(rt::runtime& r)
-        : rt(r), admitted(r.try_admit_loop()) {}
-    ~admission_guard() {
-      if (admitted) rt.release_loop();
-    }
-  } gate(rt);
-  if (!gate.admitted) {
-    telemetry::bump(me.tel().counters.gated_loops);
-    probe.setup_done();
-    ctx.run_range(me, begin, end);
-    probe.work_done();
-    ctx.rethrow_if_failed();
-    const loop_result res = result_of();
-    probe.commit(opt.site, opt.label, pol, 0, grain, n,
-                 static_cast<std::uint8_t>(res.status), res.skipped,
-                 telemetry::degrade_reason::admission_gate);
-    return res;
-  }
-
   if (pol == policy::dynamic_ws) {
     // Vanilla cilk_for, lazily split: the caller publishes the span in its
     // next free range slot and consumes it chunk by chunk; idle workers
@@ -294,7 +266,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     telemetry::bump(me.tel().counters.faults_injected);
     slot = -1;
   } else {
-    slot = rt.loop_board().post(rec, me.id());
+    slot = rt.loop_board().post(rec);
   }
   // An unposted record is invisible to peers, so it wakes nobody.
   if (slot >= 0) {

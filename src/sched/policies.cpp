@@ -165,7 +165,6 @@ void range_span::owner_loop(rt::worker& w, rt::range_slot& slot,
   // region is empty, so no thief can split the span after that. Spans the
   // chunk bodies opened have all closed again, so `slot` is the innermost.
   const bool split = w.close_span();
-  w.advertise_span(0);
   telemetry::worker_state& tel = w.tel();
   telemetry::bump(tel.counters.range_splits, refills);
   if (!split) telemetry::bump(tel.counters.spans_unsplit);
@@ -201,11 +200,9 @@ void range_span::run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
     ctx->run_range(w, lo, hi);
     return;
   }
-  // The span is the only published unit of work — advertise it once. With
-  // a parked peer, the wake itself carries the span's upper half
+  // With a parked peer, the wake itself carries the span's upper half
   // (donate-on-open, docs/runtime.md "Push-based handoff"); otherwise fall
   // back to the bare targeted wake and let the woken worker probe.
-  w.advertise_span(static_cast<std::uint64_t>(hi - lo));
   if (!w.donate_range()) w.rt().notify_work();
   owner_loop(w, *slot, ctx, lo, floor);
 }

@@ -36,8 +36,6 @@
   X(wakes_sent, "wakes delivered by notify_work and unpark_at")         \
   X(wakes_spurious, "wakes that found no visible work")                  \
   X(batch_steal_tasks, "tasks transferred by batched steals")            \
-  X(affinity_hits, "steals won on an affinity probe (last victim "       \
-                   "or board poster)")                                   \
   X(range_steals, "successful range-slot steals (upper half of a "      \
                   "published span)")                                     \
   X(range_splits, "owner reservation refills on open range slots "      \
@@ -60,16 +58,12 @@
                       "construction (team shrank)")                       \
   X(alloc_fallbacks, "spans run as serial chunks because every range "   \
                      "slot was open")                                     \
-  X(gated_loops, "parallel_for submissions serialized by the "           \
-                 "admission gate (in-flight limit reached)")              \
   X(handoffs_sent, "work handoffs deposited and signalled (targeted "    \
                    "wake carrying a pre-split range or surplus task)")    \
   X(handoffs_consumed, "handoff payloads taken from this worker's own "  \
                        "mailbox or poached from a peer's")                \
   X(handoffs_reclaimed, "deposits taken back by the donor after a "      \
-                        "failed targeted wake (waiter vanished)")         \
-  X(load_board_hits, "steals won on the load board's busiest-worker "    \
-                     "advertisement")
+                        "failed targeted wake (waiter vanished)")
 
 #define HLS_TELEMETRY_MAX_COUNTERS(X)                                    \
   X(max_claim_seq_len, "longest claim sequence: max consecutive failed " \

@@ -9,7 +9,6 @@ const char* degrade_reason_name(degrade_reason r) noexcept {
   switch (r) {
     case degrade_reason::none: return "none";
     case degrade_reason::foreign_thread: return "foreign_thread";
-    case degrade_reason::admission_gate: return "admission_gate";
   }
   return "?";
 }

@@ -61,13 +61,10 @@ struct loop_site {
   }())
 
 // Why an invocation ran serially instead of on the scheduler it asked
-// for. Distinct reasons matter operationally: foreign_thread is a caller
-// bug (or an accepted embedding cost), admission_gate is backpressure —
-// the runtime shedding load past its in-flight loop limit.
+// for: foreign_thread is a caller bug (or an accepted embedding cost).
 enum class degrade_reason : std::uint8_t {
   none = 0,            // ran on the requested policy
   foreign_thread = 1,  // caller not bound to the runtime (run_serial_foreign)
-  admission_gate = 2,  // max_inflight_loops reached; serialized for backpressure
 };
 
 const char* degrade_reason_name(degrade_reason r) noexcept;

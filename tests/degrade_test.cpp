@@ -1,8 +1,7 @@
 // Graceful-degradation tests: worker-spawn failure shrinks the team
-// instead of aborting construction, range-slot exhaustion falls back to
-// bounded serial-chunk execution, and the parallel_for admission gate
-// serializes submissions past the in-flight limit — all while every loop
-// stays exactly-once with a correct loop_result.
+// instead of aborting construction, and range-slot exhaustion falls back
+// to bounded serial-chunk execution — both while every loop stays
+// exactly-once with a correct loop_result.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "sched/loop.h"
-#include "telemetry/profiler.h"
 
 namespace hls {
 namespace {
@@ -108,80 +106,6 @@ TEST(Degrade, AllocFallbackPreservesCancelStatus) {
   EXPECT_GT(rt.tel().totals().alloc_fallbacks, 0u);
   EXPECT_EQ(res.status, loop_status::cancelled);
   EXPECT_GT(res.skipped, 0);
-}
-
-// ------------------------------------------------------ admission gate
-
-TEST(Degrade, AdmissionGateCountsAndReleases) {
-  rt::runtime_options o;
-  o.num_workers = 1;
-  o.watchdog = false;
-  o.max_inflight_loops = 2;
-  rt::runtime rt(o);
-  EXPECT_TRUE(rt.try_admit_loop());
-  EXPECT_TRUE(rt.try_admit_loop());
-  EXPECT_FALSE(rt.try_admit_loop());  // gate full
-  rt.release_loop();
-  EXPECT_TRUE(rt.try_admit_loop());
-  rt.release_loop();
-  rt.release_loop();
-  EXPECT_EQ(rt.inflight_loops(), 0u);
-}
-
-TEST(Degrade, UnlimitedGateAlwaysAdmitsWithoutCounting) {
-  rt::runtime rt(1);
-  for (int i = 0; i < 64; ++i) EXPECT_TRUE(rt.try_admit_loop());
-  EXPECT_EQ(rt.inflight_loops(), 0u);
-}
-
-TEST(Degrade, AdmissionGateSerializesNestedLoopsExactlyOnce) {
-  rt::runtime_options o;
-  o.num_workers = 2;
-  o.watchdog = false;
-  o.max_inflight_loops = 1;
-  rt::runtime rt(o);
-
-  telemetry::loop_profiler prof;
-  rt.tel().set_profiler(&prof);
-
-  constexpr std::int64_t kOuter = 4;
-  constexpr std::int64_t kInner = 64;
-  std::vector<std::atomic<int>> hits(
-      static_cast<std::size_t>(kOuter * kInner));
-  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-
-  const loop_result res = for_each(rt, 0, kOuter, policy::dynamic_ws,
-                                   [&](std::int64_t i) {
-    // The outer loop holds the only admission slot, so every nested
-    // submission is gated and runs serially on its worker — but must
-    // still be exactly-once with an ok result.
-    const loop_result inner = for_each(
-        rt, 0, kInner, policy::hybrid,
-        [&, i](std::int64_t j) {
-          hits[static_cast<std::size_t>(i * kInner + j)].fetch_add(
-              1, std::memory_order_relaxed);
-        });
-    ASSERT_TRUE(inner.ok());
-  });
-  ASSERT_TRUE(res.ok());
-  rt.tel().set_profiler(nullptr);
-
-  for (std::int64_t k = 0; k < kOuter * kInner; ++k) {
-    ASSERT_EQ(hits[static_cast<std::size_t>(k)].load(), 1) << k;
-  }
-  EXPECT_EQ(rt.tel().totals().gated_loops,
-            static_cast<std::uint64_t>(kOuter));
-  EXPECT_EQ(rt.inflight_loops(), 0u);
-
-  // The profiler distinguishes the gate from the foreign-thread degrade.
-  std::uint64_t gated = 0;
-  for (const auto& site : prof.snapshot()) {
-    for (const auto& r : site.records) {
-      if (r.degrade == telemetry::degrade_reason::admission_gate) ++gated;
-      EXPECT_NE(r.degrade, telemetry::degrade_reason::foreign_thread);
-    }
-  }
-  EXPECT_EQ(gated, static_cast<std::uint64_t>(kOuter));
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Push-based work handoff suite (docs/runtime.md "Push-based handoff"):
 // the mailbox protocol core (claim/publish/take cycle, exactly-once under
-// contention), the parking lot's targeted pick/unpark edge, the load
-// board's advisory scores, the runtime-level donate-on-open and
-// donate-on-deep-push paths, the donor-affinity hint, the shutdown sweep,
-// and a 200-seed chaos run with the handoff_drop hook asserting that a
-// dropped wake can strand a deposit only transiently — every iteration
-// still executes exactly once and Lemma 4 stays clean.
+// contention), the parking lot's targeted pick/unpark edge, the
+// runtime-level donate-on-open and donate-on-deep-push paths, the
+// shutdown sweep, and a 200-seed chaos run with the handoff_drop hook
+// asserting that a dropped wake can strand a deposit only transiently —
+// every iteration still executes exactly once and Lemma 4 stays clean.
 #include "runtime/handoff.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "faultsim/faultsim.h"
-#include "runtime/load_board.h"
 #include "runtime/parking.h"
 #include "runtime/runtime.h"
 #include "runtime/task.h"
@@ -40,9 +38,10 @@ TEST(HandoffSlot, ClaimPublishTakeCycle) {
   EXPECT_FALSE(box.try_claim());  // claimed: second donor bounces
   EXPECT_FALSE(box.full());       // claimed-but-unpublished is invisible
 
+  int payload_ctx = 0;
   handoff_item it;
   it.k = handoff_item::kind::range;
-  it.donor = 3;
+  it.ctx = &payload_ctx;
   it.lo = 100;
   it.hi = 200;
   box.publish(it);
@@ -50,7 +49,7 @@ TEST(HandoffSlot, ClaimPublishTakeCycle) {
   EXPECT_FALSE(box.try_claim());  // full: donors bounce too
 
   ASSERT_TRUE(box.try_take(out));
-  EXPECT_EQ(out.donor, 3u);
+  EXPECT_EQ(out.ctx, &payload_ctx);
   EXPECT_EQ(out.lo, 100);
   EXPECT_EQ(out.hi, 200);
   EXPECT_FALSE(box.full());
@@ -143,25 +142,6 @@ TEST(ParkingTargeted, FailedUnparkAtLetsTheDonorReclaim) {
   EXPECT_FALSE(box.full());
 }
 
-// ---- load board -------------------------------------------------------
-
-TEST(LoadBoard, ScoreAndBusiestAreAdvisory) {
-  load_board lb(4);
-  EXPECT_EQ(lb.busiest(0), 4u);  // all idle: n sentinel
-  lb.publish_deque(1, 3);
-  lb.publish_span(2, 1 << 10);
-  EXPECT_EQ(lb.deque_depth(1), 3u);
-  EXPECT_EQ(lb.span_width(2), 1u << 10);
-  // Depth dominates: 3 queued tasks outscore a 1k-wide span.
-  EXPECT_GT(lb.score(1), lb.score(2));
-  EXPECT_EQ(lb.busiest(0), 1u);
-  EXPECT_EQ(lb.busiest(1), 2u);  // self is skipped
-  lb.publish_deque(1, 0);
-  EXPECT_EQ(lb.busiest(0), 2u);
-  lb.publish_span(2, 0);
-  EXPECT_EQ(lb.busiest(0), 4u);
-}
-
 // ---- runtime-level handoff paths -------------------------------------
 
 struct count_task final : task {
@@ -216,28 +196,6 @@ TEST(RuntimeHandoff, DeepPushDonatesSurplusTask) {
   EXPECT_GT(rt.stats_snapshot().handoffs_sent, 0u);
 }
 
-// Satellite: a successful handoff adopts the donor as the receiver's
-// victim-affinity hint. Under a skewed producer (worker 0 makes all the
-// work), the receiver's follow-up steal probes the donor first while its
-// deque is still deep — affinity_hits must rise alongside the handoffs.
-TEST(RuntimeHandoff, AffinityFollowsDonorUnderSkewedProducer) {
-  runtime rt(6);
-  worker& w0 = rt.current_worker();
-  std::atomic<int> ran{0};
-  int pushed = 0;
-  worker_stats total{};
-  for (int round = 0; round < 200; ++round) {
-    std::this_thread::sleep_for(1ms);
-    for (int i = 0; i < 12; ++i, ++pushed) w0.push(new count_task(ran));
-    w0.work_until([&] { return ran.load(std::memory_order_acquire) == pushed; });
-    total = rt.stats_snapshot();
-    if (total.handoffs_consumed > 0 && total.affinity_hits > 0) break;
-  }
-  EXPECT_EQ(ran.load(), pushed);
-  EXPECT_GT(total.handoffs_consumed, 0u);
-  EXPECT_GT(total.affinity_hits, 0u);
-}
-
 // The A/B knob: with work_handoff off the wake path is pure pull again —
 // loops stay correct and no mailbox traffic happens.
 TEST(RuntimeHandoff, DisabledHandoffFallsBackToProbe) {
@@ -271,7 +229,6 @@ TEST(RuntimeHandoff, ShutdownDrainsStrandedDeposits) {
     ASSERT_TRUE(box.try_claim());
     handoff_item it;
     it.k = handoff_item::kind::task;
-    it.donor = 0;
     it.t = new count_task(ran);
     box.publish(it);
     // No wake on purpose: the deposit is stranded like a chaos-dropped

@@ -64,15 +64,13 @@ TEST(RuntimeOptions, FromCliParsesEveryKnob) {
                         "--park-backstop-us=500",
                         "--progress-budget-us=4000",
                         "--watchdog=0",
-                        "--max-inflight-loops=2",
                         "--chaos=claim_fail=0.1"};
-  const cli c(7, argv);
+  const cli c(6, argv);
   const rt::runtime_options o = rt::runtime_options::from_cli(c);
   EXPECT_EQ(o.num_workers, 3u);
   EXPECT_EQ(o.park_backstop, 500us);
   EXPECT_EQ(o.progress_budget, 4000us);
   EXPECT_FALSE(o.watchdog);
-  EXPECT_EQ(o.max_inflight_loops, 2u);
   EXPECT_EQ(o.chaos, "claim_fail=0.1");
 }
 
@@ -147,7 +145,7 @@ TEST(Watchdog, ManualScanClassifiesStallArmsRescueAndRecovers) {
   sched::loop_ctx ctx(0, 64, body, /*grain=*/16, /*trace=*/nullptr);
   sched::hybrid_record rec(ctx, 4);
   ASSERT_TRUE(rec.partitions().try_claim(0));
-  const int slot = rt.loop_board().post(&rec, 0);
+  const int slot = rt.loop_board().post(&rec);
   ASSERT_GE(slot, 0);
 
   std::this_thread::sleep_for(1ms);  // silence >= budget, loop now open

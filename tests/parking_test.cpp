@@ -256,10 +256,6 @@ TEST(RuntimeWake, BatchStealsMoveSurplusTasks) {
   // Multi-task batches actually happened: more tasks moved than there were
   // successful claims.
   EXPECT_GT(total.batch_steal_tasks, total.steals);
-  // And the victim-affinity fast path fired: after one successful steal
-  // from worker 0 the next round probes it first, while its deque is still
-  // deep enough to hit.
-  EXPECT_GT(total.affinity_hits, 0u);
 }
 
 }  // namespace
