@@ -60,27 +60,6 @@ void BM_DequePushSteal(benchmark::State& state) {
 }
 BENCHMARK(BM_DequePushSteal);
 
-// Batched stealing throughput: the victim is refilled with a burst, then a
-// thief drains it claim-by-claim with steal_batch (each claim moves up to
-// half the visible tasks, capped at kStealBatchMax, in one top_ CAS).
-// Items/sec counts the burst tasks; compare against BM_DequePushSteal,
-// which pays one CAS per task instead of one per batch.
-void BM_BatchSteal(benchmark::State& state) {
-  rt::ws_deque victim(1024), mine(1024);
-  nop_task t;
-  const int burst = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (int i = 0; i < burst; ++i) victim.push(&t);
-    std::uint32_t k = 0;
-    while (victim.steal_batch(mine, &k) != nullptr) {
-      while (mine.pop() != nullptr) {
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * burst);
-}
-BENCHMARK(BM_BatchSteal)->Arg(16)->Arg(256);
-
 // Idle-wakeup latency: the time from pushing a task into an all-idle
 // 2-worker runtime until the (parked) second worker has stolen and run it.
 // This is the number the targeted-parking rework moves: with the old

@@ -26,7 +26,6 @@ using clk = std::chrono::steady_clock;
 double time_loops(hls::rt::runtime& rt, hls::policy pol, std::int64_t n,
                   int reps, std::vector<double>& data) {
   hls::loop_options opt;
-  opt.label = "rt_telemetry";
   opt.site = HLS_LOOP_SITE("bench_loop");
   const auto t0 = clk::now();
   for (int r = 0; r < reps; ++r) {

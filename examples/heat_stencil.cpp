@@ -47,7 +47,6 @@ double run_policy(hls::rt::runtime& rt, hls::policy pol, std::int64_t cells,
         (last && export_tr != nullptr) ? *export_tr : step_tr;
     hls::loop_options opt;
     opt.trace = &tr;
-    opt.label = "heat_step";
     opt.site = HLS_LOOP_SITE("heat_step");
     hls::parallel_for(
         rt, 1, cells - 1, pol,

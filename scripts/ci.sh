@@ -54,7 +54,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=parking-fanout --bound=3"
     "--model=parking-backoff --bound=4"
     "--model=handoff --bound=3"
-    "--model=deque-broken-nogenbump --bound=3"
+    "--model=deque-broken-nolastcas --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-norecheck --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
@@ -76,7 +76,7 @@ else
     "--model=parking-fanout --bound=2"
     "--model=parking-backoff --bound=3"
     "--model=handoff --bound=2"
-    "--model=deque-broken-nogenbump --bound=3"
+    "--model=deque-broken-nolastcas --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-norecheck --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
@@ -133,7 +133,6 @@ names = [b["name"] for b in json.load(open("build/BENCH_rt_primitives.json"))["b
 assert any("BM_WakeLatency" in n for n in names), names
 assert any("BM_HandoffLatency" in n for n in names), names
 assert any("BM_TeamArrival" in n for n in names), names
-assert any("BM_BatchSteal" in n for n in names), names
 assert "BM_SpanOverhead/p:1" in names, names
 assert "BM_SpanOverhead/p:4" in names, names
 assert any("BM_SpanOverhead/huge" in n for n in names), names

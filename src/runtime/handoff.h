@@ -17,19 +17,14 @@
 
 namespace hls::rt {
 
-class task;
-
-// What a wake carries: either a pre-split loop range (executed through the
-// same runner thunk a range-slot steal uses, so the receiver opens its own
-// slot and keeps splitting recursively) or a surplus deque task.
+// What a wake carries: a pre-split loop range, executed through the same
+// runner thunk a range-slot steal uses, so the receiver opens its own slot
+// and keeps splitting recursively.
 struct handoff_item {
-  enum class kind : std::uint8_t { range, task };
-  kind k = kind::range;
-  range_span_runner run = nullptr;  // range payloads
-  void* ctx = nullptr;              // range payloads
+  range_span_runner run = nullptr;
+  void* ctx = nullptr;
   std::int64_t lo = 0;
   std::int64_t hi = 0;
-  rt::task* t = nullptr;  // task payloads
 };
 
 // Padded so one worker's mailbox traffic never false-shares with its

@@ -3,10 +3,9 @@
 //
 // A wake from `parking_lot_core::unpark_at` tells a parked worker *that*
 // work exists; the handoff slot tells it *what* the work is. A donor that
-// decides to push (wide span just opened, deque past the depth threshold)
-// deposits a pre-split range or a popped task into the target's slot and
-// only then issues the targeted wake, so the woken worker starts executing
-// with zero steal probes.
+// has just opened a wide span deposits a pre-split range into the target's
+// slot and only then issues the targeted wake, so the woken worker starts
+// executing with zero steal probes.
 //
 // One slot per worker, single item, multi-producer (any loaded worker may
 // deposit into any idle peer) and multi-consumer (the owner consumes on

@@ -24,6 +24,9 @@ health_watchdog::health_watchdog(runtime& rt, options opt)
   }
   scanner_.hold();  // construction happens-before the service thread
   last_scan_ns_ = rt_.tel().service().now();
+  for (std::uint32_t w = 0; w < lanes_.size(); ++w) {
+    lanes_[w].silence_cpu_ns = rt_.worker_at(w).cpu_time_ns();
+  }
   if (opt_.start_thread) {
     thread_ = std::thread([this] { thread_main(); });
   }
@@ -72,11 +75,20 @@ std::uint32_t health_watchdog::scan() {
     worker& wk = rt_.worker_at(w);
     lane& ln = lanes_[w];
     const std::uint64_t beats = wk.beats();
-    if (beats != ln.last_beats || wk.parked_hint()) {
-      // Progress (or a healthy park). Close out a previous stall with a
-      // complete span covering the observed outage.
+    // On-CPU for more than a tenth of the silence so far: a long body is
+    // running, not a stall. Measured over the whole silence, so a short
+    // burst of CPU charged to a sleeping thread does not end a stall.
+    const std::int64_t cpu = wk.cpu_time_ns();
+    const bool busy =
+        cpu >= 0 && ln.silence_cpu_ns >= 0 &&
+        static_cast<std::uint64_t>(cpu - ln.silence_cpu_ns) * 10 >
+            ln.silent_ns + dt;
+    if (beats != ln.last_beats || wk.parked_hint() || busy) {
+      // Progress (or a healthy park, or a busy body). Close out a previous
+      // stall with a complete span covering the observed outage.
       ln.last_beats = beats;
       ln.silent_ns = 0;
+      ln.silence_cpu_ns = cpu;
       if (ln.health.load(std::memory_order_relaxed) ==
               worker_health::stalled &&
           svc.events_on() && ln.stall_started_ns != 0) {

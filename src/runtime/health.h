@@ -8,9 +8,18 @@
 //
 //   healthy  heartbeat moved since the last scan, or the worker is
 //            blocked in a park (parked workers hold no work and wake on
-//            demand — silence while parked is idleness, not a stall)
+//            demand — silence while parked is idleness, not a stall), or
+//            it is busy: its thread's CPU clock advanced by more than a
+//            tenth of its silence so far, which at the first silent scan
+//            is the scan interval (a long chunk body beats only at its
+//            boundaries, so it is silent but on-CPU)
 //   slow     silent for >= budget / 2
 //   stalled  silent for >= budget while a loop is open on the board
+//
+// Only off-CPU silence becomes a stall: a sleeping or blocked body, a
+// descheduled thread, a wedged one. A worker whose CPU clock cannot be
+// read is classified by its heartbeat alone. The CPU clocks cost one
+// clock_gettime per worker per scan.
 //
 // Detection latency: silence is accumulated per scan, so a real stall is
 // classified within budget + one scan interval = 1.5x the budget — under
@@ -26,11 +35,11 @@
 // When the heartbeat resumes, a complete stall_span covering the observed
 // outage is emitted.
 //
-// Misclassification is safe by construction: a long-running legitimate
-// chunk looks exactly like a stall, and the only consequences are a
-// counter bump and an earmark early-release — the partitions the "victim"
-// already claimed stay claimed, and the ones it had not are claimed
-// exactly once by whoever gets there first.
+// Misclassification is safe by construction: a legitimate chunk that
+// sleeps or blocks looks exactly like a stall, and the only consequences
+// are a counter bump and an earmark early-release — the partitions the
+// "victim" already claimed stay claimed, and the ones it had not are
+// claimed exactly once by whoever gets there first.
 //
 // Telemetry single-writer rule: the watchdog writes ONLY the registry's
 // service lane (registry::service()). Tests may drive scan() manually,
@@ -100,6 +109,8 @@ class health_watchdog {
     // struct cannot name the outer capability, so the discipline is
     // enforced at the access sites in scan()).
     std::uint64_t last_beats = 0;
+    std::int64_t silence_cpu_ns = -1;    // CPU time when silence began
+                                         //   (-1 = clock unreadable)
     std::uint64_t silent_ns = 0;         // accumulated heartbeat silence
     std::uint64_t stall_started_ns = 0;  // service-lane clock, 0 = none
     std::atomic<worker_health> health{worker_health::healthy};

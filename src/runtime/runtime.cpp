@@ -143,6 +143,12 @@ runtime::runtime(const runtime_options& opt)
       break;
     }
   }
+  // Each running worker's thread CPU clock, for the watchdog's busy-or-
+  // stalled call (runtime/health.h); recorded before the watchdog starts.
+  workers_[0]->bind_cpu_clock(pthread_self());
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    workers_[i + 1]->bind_cpu_clock(threads_[i].native_handle());
+  }
   if (opt_.watchdog) {
     health_watchdog::options ho;
     ho.progress_budget = opt_.effective_progress_budget();
@@ -157,7 +163,7 @@ runtime::~runtime() {
   for (auto& t : threads_) t.join();
   // Workers drained their own mailboxes on the way out of worker_main;
   // worker 0 (this thread) and any degraded threadless workers still need
-  // theirs swept so no deposited payload leaks or goes unexecuted.
+  // theirs swept so no deposited range goes unexecuted.
   for (std::uint32_t i = 0; i < workers_.size(); ++i) {
     while (workers_[0]->try_consume_handoff_from(i)) {
     }
@@ -288,11 +294,10 @@ void runtime::worker_main(std::uint32_t id) {
     }
   }
   // Shutdown drain: a deposit racing the stop flag must not be stranded in
-  // this worker's mailbox (a range payload holds unretired iterations; a
-  // task payload is owed exactly one execution). In correct usage loops
-  // and task groups complete before the runtime is destroyed, so this is
-  // a defensive sweep, but the exactly-once guarantee must not depend on
-  // that.
+  // this worker's mailbox (its range holds unretired iterations). In
+  // correct usage loops complete before the runtime is destroyed, so this
+  // is a defensive sweep, but the exactly-once guarantee must not depend
+  // on that.
   while (w.try_consume_handoff()) {
   }
   tls_worker = nullptr;

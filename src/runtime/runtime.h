@@ -36,7 +36,8 @@ class health_watchdog;
 
 // The worker bound to the calling thread, or nullptr when the thread is not
 // a runtime worker (e.g. during static initialization or in tests that use
-// tasks without a runtime). Used by pooled task allocation.
+// tasks without a runtime). parallel_for uses it to run a foreign thread's
+// loop serially; parallel_reduce uses it to pick the caller's lane.
 worker* current_worker_or_null() noexcept;
 
 // Construction-time runtime configuration. All knobs are validated by
@@ -63,10 +64,9 @@ struct runtime_options {
   std::chrono::microseconds progress_budget{0};
 
   // Push-based work handoff (docs/runtime.md "Push-based handoff"): when
-  // true, a worker publishing fresh work while peers are parked pre-splits
-  // a range / pops a surplus task into the target's handoff mailbox before
-  // the targeted wake, so the woken worker starts executing with zero
-  // steal probes. Off restores the pure pull (probe) wake path — kept as
+  // true, a worker that opens a span while peers are parked pre-splits half
+  // of it into a parked peer's handoff mailbox before the targeted wake, so
+  // the woken worker starts executing with zero steal probes. Off restores the pure pull (probe) wake path — kept as
   // an A/B knob for the handoff-vs-probe benches.
   bool work_handoff = true;
 
@@ -144,13 +144,11 @@ class runtime {
   // one when spawn failures shrank the team).
   const runtime_options& options() const noexcept { return opt_; }
 
-  // Wakes up to k parked workers (the new-work edge). Pushes and
-  // batch-steal surpluses wake one; escalation there happens by chaining —
-  // each unit of published work sends one wake, and a thief that deposits
-  // surplus tasks sends another — not by waking the herd. A board post
-  // wakes the whole team the loop can use in one call (parallel_for), so
-  // no worker the loop needs waits out the park backstop. Every delivered
-  // wake counts in the caller's wakes_sent.
+  // Wakes up to k parked workers (the new-work edge). A push wakes one:
+  // each published task sends one wake, so wakes scale with the work, not
+  // with the herd. A board post wakes the whole team the loop can use in
+  // one call (parallel_for), so no worker the loop needs waits out the
+  // park backstop. Every delivered wake counts in the caller's wakes_sent.
   void notify_work(std::uint32_t k = 1) noexcept;
 
   // Wakes every parked worker. Called on completion edges (a loop's last
@@ -210,10 +208,9 @@ class runtime {
   parking_lot& parking() noexcept { return parking_; }
 
   // ---- push-based work handoff (docs/runtime.md) --------------------
-  // Worker w's handoff mailbox: deposited into by donors (worker::
-  // donate_* / sched's donate-on-open), consumed by the owner's
-  // try_progress, poached by steal rounds, reclaimed by a donor whose
-  // targeted wake failed.
+  // Worker w's handoff mailbox: deposited into by sched's donate-on-open
+  // (worker::donate_range), consumed by the owner's try_progress, poached
+  // by steal rounds, reclaimed by a donor whose targeted wake failed.
   handoff_slot& handoff_of(std::uint32_t w) noexcept { return handoff_[w]; }
   const handoff_slot& handoff_of(std::uint32_t w) const noexcept {
     return handoff_[w];

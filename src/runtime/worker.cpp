@@ -29,13 +29,6 @@ worker::worker(runtime& rt, std::uint32_t id, std::uint64_t seed,
 
 void worker::push(task* t) {
   deque_.push(t);
-  // Deep-deque donation: with enough local backlog, hand one queued task
-  // straight to a parked peer instead of waking it to probe. The guard
-  // inside donate_surplus_task keeps the common no-sleeper case at one
-  // relaxed load.
-  if (deque_.size_estimate() >= kHandoffDepth && donate_surplus_task()) {
-    return;
-  }
   rt_.notify_work();
 }
 
@@ -62,11 +55,7 @@ bool worker::try_consume_handoff_from(std::uint32_t v) {
 
 void worker::run_handoff(handoff_item& it) {
   telemetry::bump(tel_.counters.handoffs_consumed);
-  if (it.k == handoff_item::kind::range) {
-    it.run(*this, it.ctx, it.lo, it.hi);
-  } else {
-    run(it.t);
-  }
+  it.run(*this, it.ctx, it.lo, it.hi);
 }
 
 // Picks a deposit target and claims its mailbox. Returns nullptr when the
@@ -141,13 +130,7 @@ bool worker::donate_range() {
     box->abort_claim();  // span too narrow to halve (or lost a race)
     return false;
   }
-  handoff_item it;
-  it.k = handoff_item::kind::range;
-  it.run = s.run;
-  it.ctx = s.ctx;
-  it.lo = s.lo;
-  it.hi = s.hi;
-  box->publish(it);
+  box->publish({s.run, s.ctx, s.lo, s.hi});
   handoff_item back;
   if (deliver_or_reclaim(*box, target, s.hi - s.lo, &back)) return true;
   // Reclaimed: restore the range to the open span when no thief moved the
@@ -159,23 +142,14 @@ bool worker::donate_range() {
   return false;
 }
 
-bool worker::donate_surplus_task() {
-  std::uint32_t target = 0;
-  handoff_slot* box = claim_handoff_target(&target);
-  if (box == nullptr) return false;
-  task* t = deque_.pop();
-  if (t == nullptr) {
-    box->abort_claim();  // thieves emptied the deque under us
-    return false;
-  }
-  handoff_item it;
-  it.k = handoff_item::kind::task;
-  it.t = t;
-  box->publish(it);
-  handoff_item back;
-  if (deliver_or_reclaim(*box, target, 1, &back)) return true;
-  deque_.push(back.t);  // reclaimed: the task goes back where it came from
-  return false;
+void worker::bind_cpu_clock(pthread_t thread) noexcept {
+  has_cpu_clock_ = pthread_getcpuclockid(thread, &cpu_clock_) == 0;
+}
+
+std::int64_t worker::cpu_time_ns() const noexcept {
+  timespec ts{};
+  if (!has_cpu_clock_ || clock_gettime(cpu_clock_, &ts) != 0) return -1;
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
 task* worker::pop_local() {
@@ -241,9 +215,8 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
   // Probes one victim. Returns true when the round is over: the probe hit
   // (the stolen work has run), or the round ended before probing because a
   // loop was posted since the caller's board visit — better work than any
-  // probe — or the caller's wait is over. On a deque hit a batch (up to
-  // half the victim's visible tasks) lands in the local deque and the
-  // oldest stolen task runs.
+  // probe — or the caller's wait is over. A deque hit takes the victim's
+  // oldest task and runs it.
   const auto probe = [&](std::uint32_t v) -> bool {
     if (brd.posts() != posts_seen) {
       end = round_end::posted;
@@ -283,20 +256,14 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
         return true;
       }
     }
-    std::uint32_t k = 0;
-    if (task* t = victim.deque().steal_batch(deque_, &k)) {
+    if (task* t = victim.deque().steal()) {
       settle(round_end::hit);
       telemetry::bump(tel_.counters.steals);
-      telemetry::bump(tel_.counters.batch_steal_tasks, k);
       if (tel_.events_on()) {
         tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
                    static_cast<std::int64_t>(probes),
                    telemetry::event_kind::steal});
       }
-      // Surplus tasks just landed in this deque; hand one straight to a
-      // parked peer (wake that carries work), or chain a plain wake so
-      // another idle worker picks them up while this one runs the first.
-      if (k > 1 && !donate_surplus_task()) rt_.notify_work();
       run(t);
       return true;
     }

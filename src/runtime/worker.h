@@ -4,7 +4,10 @@
 // (2) visits the loop participation board, (3) steals from a random victim.
 #pragma once
 
+#include <pthread.h>
+
 #include <cstdint>
+#include <ctime>
 
 #include <atomic>
 
@@ -68,7 +71,7 @@ class worker {
   const telemetry::worker_state& tel() const noexcept { return tel_; }
 
   // Pushes a task onto this worker's own deque (owner thread only) and
-  // wakes sleeping thieves.
+  // wakes one sleeping thief.
   void push(task* t);
 
   // Pops from the local deque (owner thread only).
@@ -85,9 +88,9 @@ class worker {
   bool try_progress(park_predicate done = {});
 
   // ---- push-based work handoff (docs/runtime.md) --------------------
-  // Consumes this worker's own handoff mailbox, if full: runs the payload
-  // (a pre-split range or a surplus task). Checked FIRST in try_progress,
-  // so a woken worker executes its delivered work with zero steal probes.
+  // Consumes this worker's own handoff mailbox, if full: runs the
+  // pre-split range it carries. Checked FIRST in try_progress, so a woken
+  // worker executes its delivered work with zero steal probes.
   bool try_consume_handoff();
 
   // Poach/drain variant: consumes worker v's mailbox from this worker.
@@ -96,18 +99,15 @@ class worker {
   // shutdown path uses it to sweep every mailbox.
   bool try_consume_handoff_from(std::uint32_t v);
 
-  // Donor side. donate_range pre-splits half of this worker's innermost
-  // open range slot (the exact thief protocol, so the Corollary-6 span
-  // bound is untouched) into a parked peer's mailbox and issues the
-  // targeted wake; called by the sched layer right after it opens a span.
-  // donate_surplus_task does the same with one task popped off the local
-  // deque (deep-push and batch-steal-surplus sites). Both return true
-  // when the payload was delivered (wake sent, or a racing consumer took
+  // Donor side: pre-splits half of this worker's innermost open range
+  // slot (the exact thief protocol, so the Corollary-6 span bound is
+  // untouched) into a parked peer's mailbox and issues the targeted wake;
+  // called by the sched layer right after it opens a span. Returns true
+  // when the range was delivered (wake sent, or a racing consumer took
   // it) — no further notify needed; false means nothing was handed off
   // (no waiter, mailbox busy, pre-split failed, or the deposit was
   // reclaimed) and the caller must fall back to notify_work().
   bool donate_range();
-  bool donate_surplus_task();
 
   worker_stats stats() const noexcept { return tel_.counters.snapshot(); }
 
@@ -129,6 +129,10 @@ class worker {
   bool parked_hint() const noexcept {
     return hb_parked_.load(std::memory_order_relaxed) != 0;
   }
+  // CPU time this worker's thread has consumed, in ns, or -1 when its
+  // clock is unknown or unreadable. The watchdog reads it to tell a long
+  // chunk (silent but on-CPU) from a stall (silent and off-CPU).
+  std::int64_t cpu_time_ns() const noexcept;
 
   // Runs scheduling steps until pred() holds, backing off when idle. The
   // predicate is threaded into the park path so the check-then-park
@@ -171,24 +175,23 @@ class worker {
 
   // One round of steal attempts: up to P probes of uniformly random
   // victims (PAPER.md §1, steps 3-4). Each probe tries the victim's range
-  // slots, then a batched deque steal (ws_deque::steal_batch), then its
-  // handoff mailbox. `posts_seen` is the board's post count read before
-  // the caller's visit; it and `done` are checked before every probe.
+  // slots, then one deque steal, then its handoff mailbox. `posts_seen` is
+  // the board's post count read before the caller's visit; it and `done`
+  // are checked before every probe.
   round_end try_steal_round(std::uint64_t posts_seen, park_predicate done);
 
   // Runs a payload taken from a handoff mailbox.
   void run_handoff(handoff_item& it);
 
+  // Records the CPU-time clock of the thread that runs this worker. The
+  // runtime constructor calls it before the watchdog starts.
+  void bind_cpu_clock(pthread_t thread) noexcept;
+
   // Handoff donor plumbing (worker.cpp): target selection + mailbox claim,
-  // and the wake-or-reclaim tail shared by both donate paths.
+  // and the wake-or-reclaim tail of donate_range.
   handoff_slot* claim_handoff_target(std::uint32_t* target_out);
   bool deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
                           std::int64_t iters, handoff_item* back);
-
-  // Deque depth at which a push prefers handing the task to a parked peer
-  // over a bare wake: below it the local backlog is small enough that the
-  // woken worker's steal probe lands anyway.
-  static constexpr std::uint32_t kHandoffDepth = 4;
 
   runtime& rt_;
   std::uint32_t id_;
@@ -202,6 +205,10 @@ class worker {
   // false-share with the worker's hot state.
   alignas(kCacheLine) std::atomic<std::uint64_t> hb_beats_{0};
   std::atomic<std::uint8_t> hb_parked_{0};
+  // The thread's CPU-time clock: set before the watchdog starts, then
+  // only read (cpu_time_ns).
+  clockid_t cpu_clock_{};
+  bool has_cpu_clock_ = false;
 
   // Steal-backoff state (owner thread only).
   int backoff_streak_ = 0;  // consecutive cancelled idle parks

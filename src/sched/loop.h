@@ -58,17 +58,14 @@ struct loop_options {
   // Optional execution trace (affinity / memsim experiments).
   trace::loop_trace* trace = nullptr;
 
-  // Optional loop name for telemetry: when event tracing is enabled
+  // Optional loop-site identity (telemetry/profiler.h), usually captured
+  // with HLS_LOOP_SITE("name"). When a loop_profiler is installed on the
+  // runtime's registry, each invocation records under the site's
+  // file:line key; when event tracing is enabled
   // (runtime::tel().enable_events()), the posting worker records a loop
-  // span under this label in the Chrome trace export; unnamed loops show
-  // up under their policy name. Must outlive the call.
-  const char* label = nullptr;
-
-  // Optional loop-site identity for the profiler (telemetry/profiler.h):
-  // when a loop_profiler is installed on the runtime's registry, each
-  // invocation records under this site's file:line key (usually captured
-  // with HLS_LOOP_SITE). Null falls back to `label`, then to the policy
-  // name. Must outlive the call; no effect when profiling is off.
+  // span under the site's name in the Chrome trace export. Without a site
+  // (or a site name) both fall back to the policy name. Must outlive the
+  // call.
   const telemetry::loop_site* site = nullptr;
 
   // Optional per-iteration work annotation (paper Section VI extension):

@@ -29,7 +29,8 @@ class loop_span_guard {
       : tel_(me.tel()), active_(tel_.events_on()), n_(n) {
     if (!active_) return;
     label_id_ = rt.tel().intern_label(
-        opt.label != nullptr ? opt.label : policy_name(pol));
+        opt.site != nullptr && opt.site->name != nullptr ? opt.site->name
+                                                         : policy_name(pol));
     t0_ = tel_.now();
   }
 
@@ -140,7 +141,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     probe.setup_done();
     const loop_result res = run_serial_foreign(begin, end, body, opt, grain);
     probe.work_done();
-    probe.commit(opt.site, opt.label, pol, 0, grain, n,
+    probe.commit(opt.site, pol, 0, grain, n,
                  static_cast<std::uint8_t>(res.status), res.skipped,
                  telemetry::degrade_reason::foreign_thread);
     return res;
@@ -159,7 +160,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     body(begin, end);
     probe.work_done();
     if (opt.trace != nullptr) opt.trace->record(me.id(), begin, end);
-    probe.commit(opt.site, opt.label, pol, 0, grain, n, 0, 0,
+    probe.commit(opt.site, pol, 0, grain, n, 0, 0,
                  telemetry::degrade_reason::none);
     return {};
   }
@@ -199,7 +200,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     probe.work_done();
     ctx.rethrow_if_failed();
     const loop_result res = result_of();
-    probe.commit(opt.site, opt.label, pol, 0, grain, n,
+    probe.commit(opt.site, pol, 0, grain, n,
                  static_cast<std::uint8_t>(res.status), res.skipped,
                  telemetry::degrade_reason::none);
     return res;
@@ -215,7 +216,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     me.work_until([&] { return ctx.finished(); });
     ctx.rethrow_if_failed();
     const loop_result res = result_of();
-    probe.commit(opt.site, opt.label, pol, 0, grain, n,
+    probe.commit(opt.site, pol, 0, grain, n,
                  static_cast<std::uint8_t>(res.status), res.skipped,
                  telemetry::degrade_reason::none);
     return res;
@@ -299,7 +300,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   rt.loop_board().clear(slot);
   ctx.rethrow_if_failed();
   const loop_result res = result_of();
-  probe.commit(opt.site, opt.label, pol, eff_parts, grain, n,
+  probe.commit(opt.site, pol, eff_parts, grain, n,
                static_cast<std::uint8_t>(res.status), res.skipped,
                telemetry::degrade_reason::none);
   return res;

@@ -35,7 +35,6 @@
   X(idle_sleep_ns, "time spent blocked in idle parks, ns")               \
   X(wakes_sent, "wakes delivered by notify_work and unpark_at")         \
   X(wakes_spurious, "wakes that found no visible work")                  \
-  X(batch_steal_tasks, "tasks transferred by batched steals")            \
   X(range_steals, "successful range-slot steals (upper half of a "      \
                   "published span)")                                     \
   X(range_splits, "owner reservation refills on open range slots "      \
@@ -59,7 +58,7 @@
   X(alloc_fallbacks, "spans run as serial chunks because every range "   \
                      "slot was open")                                     \
   X(handoffs_sent, "work handoffs deposited and signalled (targeted "    \
-                   "wake carrying a pre-split range or surplus task)")    \
+                   "wake carrying a pre-split range)")                    \
   X(handoffs_consumed, "handoff payloads taken from this worker's own "  \
                        "mailbox or poached from a peer's")                \
   X(handoffs_reclaimed, "deposits taken back by the donor after a "      \

@@ -37,8 +37,8 @@ enum class event_kind : std::uint8_t {
                    //   dur_ns>0: the completed stall, emitted when the
                    //   worker's heartbeat resumes (watchdog lane)
   handoff,         // push-based work handoff sent     a=target   b=iters
-                   //   emitted by the donor at the targeted wake (b=0
-                   //   for a task payload); rendered on the wake track
+                   //   emitted by the donor at the targeted wake;
+                   //   rendered on the wake track
 };
 
 struct event {

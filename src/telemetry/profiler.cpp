@@ -105,8 +105,8 @@ void invocation_probe::work_done() noexcept {
   if (prof_ != nullptr) t_work_ = reg_.now();
 }
 
-void invocation_probe::commit(const loop_site* site, const char* label,
-                              policy pol, std::uint32_t partitions,
+void invocation_probe::commit(const loop_site* site, policy pol,
+                              std::uint32_t partitions,
                               std::int64_t grain, std::int64_t iterations,
                               std::uint8_t status, std::int64_t skipped,
                               degrade_reason degrade) {
@@ -145,9 +145,8 @@ void invocation_probe::commit(const loop_site* site, const char* label,
       static_cast<double>(busy_sum) / static_cast<double>(reg_.num_workers());
   rec.imbalance = busy_sum == 0 ? 0.0 : static_cast<double>(busy_max) / mean;
 
-  const std::string key = site != nullptr ? site->key()
-                          : label != nullptr ? std::string(label)
-                                             : std::string(policy_name(pol));
+  const std::string key =
+      site != nullptr ? site->key() : std::string(policy_name(pol));
   prof_->record(key, loop_profiler::n_bucket_of(iterations), std::move(rec));
 }
 

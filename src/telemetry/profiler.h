@@ -190,8 +190,8 @@ class invocation_probe {
   void work_done() noexcept;
 
   // Assembles the record and commits it. `site` may be null; the key then
-  // falls back to `label`, then to the policy name.
-  void commit(const loop_site* site, const char* label, policy pol,
+  // falls back to the policy name.
+  void commit(const loop_site* site, policy pol,
               std::uint32_t partitions, std::int64_t grain,
               std::int64_t iterations, std::uint8_t status,
               std::int64_t skipped, degrade_reason degrade);

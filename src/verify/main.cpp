@@ -5,7 +5,7 @@
 //   hls_verify --model=claim --workers=3 --partitions=4 --bound=-1
 //   hls_verify --model=parking-broken-norecheck --expect-failure
 //   hls_verify --model=deque --mode=random --iters=50000 --seed=7
-//   hls_verify --model=deque-broken-nogenbump --schedule=0,0,1,...  # replay
+//   hls_verify --model=deque-broken-nolastcas --schedule=0,0,1,...  # replay
 //
 // A failing exploration prints the failure, the schedule (replayable via
 // --schedule=), and the full interleaving trace. The summary line carries
@@ -37,9 +37,11 @@ struct model_spec {
 const model_spec kSpecs[] = {
     {"claim", "run_claim_loop: Theorem 3 exactly-once + Lemma 4 bound",
      false, -1},
-    {"deque", "ws_deque_core: owner vs batch thief, exactly-once", false, 3},
-    {"deque-broken-nogenbump",
-     "deque with the locked-pop generation bump removed (ABA)", true, 3},
+    {"deque", "ws_deque_core: owner vs single-steal thief, growing ring, "
+     "exactly-once", false, 3},
+    {"deque-broken-nolastcas",
+     "deque with the owner's last-element CAS replaced by a plain store",
+     true, 3},
     {"range_slot", "range_slot_core: reserve/steal/close + reopen", false, 3},
     {"range_slot-broken-nodrain",
      "range_slot with close() not draining readers (use-after-reopen race)",
@@ -95,7 +97,7 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
       static_cast<std::uint64_t>(args.get_int_in("partitions", 2, 1, 63));
   if (name == "claim") return hls::verify::make_claim_model(workers, partitions);
   if (name == "deque") return hls::verify::make_deque_model(false);
-  if (name == "deque-broken-nogenbump")
+  if (name == "deque-broken-nolastcas")
     return hls::verify::make_deque_model(true);
   if (name == "range_slot") return hls::verify::make_range_slot_model(false);
   if (name == "range_slot-broken-nodrain")

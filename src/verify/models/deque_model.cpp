@@ -1,20 +1,20 @@
 // Verification model for the Chase-Lev deque core (runtime/deque_core.h):
-// the owner pushes three tasks and pops until empty while a batch thief
-// runs one steal_batch into its own deque and drains it.
+// the owner pushes three tasks and pops until empty while a thief steals
+// one task at a time until a steal comes back empty.
 //
 // Checked (work conservation / exactly-once): every pushed task is
 // executed — by whichever side — exactly once. This is the property the
-// locked near-empty pop's generation word defends: with the bump disabled
-// (deque_policy_no_gen_bump) there is an interleaving where the thief
-// reads top_ = 0 and slots [0, 2) before its claim CAS, the owner
-// locked-pops two tasks from the bottom (each with advance 0, returning
-// the raw top_ word to 0), and the stale CAS then still commits — the
-// thief re-executes a task the owner already ran and strands the rest
-// (top_ above bottom_). The harness finds that interleaving within a
-// 3-preemption bound and check_final reports the double execution.
+// owner's last-element top_ CAS defends: with a plain store in its place
+// (deque_policy_no_last_cas) there is an interleaving where the thief
+// reads top_ and the not-yet-retracted bottom_, the owner retracts bottom_
+// and reads the same top_, the thief's CAS commits, and the owner's store
+// then claims the same slot — the last task executes twice. The harness
+// finds that interleaving within a 3-preemption bound and check_final
+// reports the double execution.
 //
-// The scenario is sized so the owner's pops take the near-empty LOCKED
-// path (depth 3 < kStealBatchMax) and the deque never grows (capacity 8).
+// The owner's deque opens at capacity 2, so its third push grows the ring
+// while the thief may be reading the old one (grow()'s release store of
+// ring_ against steal()'s acquire load).
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -39,8 +39,7 @@ class deque_model_t final : public model {
   using deque_t = rt::ws_deque_core<int*, verify_traits, Policy>;
 
   struct state {
-    deque_t owner_q{8};
-    deque_t thief_q{8};
+    deque_t q{2};
     // Executions per task value; plain ints are fine under the cooperative
     // scheduler.
     std::uint32_t executed[kTasks + 1] = {};
@@ -58,18 +57,12 @@ class deque_model_t final : public model {
     state& s = *st_;
     if (t == 0) {
       // Owner: push everything, then drain from the bottom.
-      for (int v = 1; v <= kTasks; ++v) s.owner_q.push(task_ptr(v));
-      while (int* p = s.owner_q.pop()) exec(p);
+      for (int v = 1; v <= kTasks; ++v) s.q.push(task_ptr(v));
+      while (int* p = s.q.pop()) exec(p);
     } else {
-      // Thief: one batch steal into its own deque, then drain it.
-      std::uint32_t transferred = 0;
-      if (int* p = s.owner_q.steal_batch(s.thief_q, &transferred)) {
-        exec(p);
-        check(transferred >= 1, "steal_batch returned a task but counted 0");
-      } else {
-        check(transferred == 0, "failed steal_batch counted transfers");
-      }
-      while (int* p = s.thief_q.pop()) exec(p);
+      // Thief: one task per steal until a steal comes back empty (or
+      // loses its race).
+      while (int* p = s.q.steal()) exec(p);
     }
   }
 
@@ -97,10 +90,10 @@ class deque_model_t final : public model {
 
 }  // namespace
 
-std::unique_ptr<model> make_deque_model(bool broken_no_gen_bump) {
-  if (broken_no_gen_bump) {
-    return std::make_unique<deque_model_t<rt::deque_policy_no_gen_bump>>(
-        "deque-broken-nogenbump");
+std::unique_ptr<model> make_deque_model(bool broken_no_last_cas) {
+  if (broken_no_last_cas) {
+    return std::make_unique<deque_model_t<rt::deque_policy_no_last_cas>>(
+        "deque-broken-nolastcas");
   }
   return std::make_unique<deque_model_t<rt::deque_policy_default>>("deque");
 }

@@ -16,8 +16,8 @@
 //                (Lemma 4), over the real run_claim_loop + fetch_or flags.
 //   deque      — work conservation: every pushed task is executed exactly
 //                once, no double-execution and no stranded task, over
-//                ws_deque_core's push/pop/steal_batch (including the
-//                locked near-empty pop and its generation word).
+//                ws_deque_core's push/pop/steal (including the owner's
+//                last-element CAS and a ring that grows mid-steal).
 //   range_slot — every iteration of every published span executed exactly
 //                once across owner reserve and thief steals, including a
 //                close-then-reopen of the same slot; the close() drain is
@@ -46,10 +46,11 @@ namespace hls::verify {
 std::unique_ptr<model> make_claim_model(std::uint32_t workers,
                                         std::uint64_t partitions);
 
-// Owner (push x3, pop-all) vs batch thief on one ws_deque_core.
-// broken_no_gen_bump selects deque_policy_no_gen_bump, reintroducing the
-// locked-pop ABA (double-executed + stranded tasks).
-std::unique_ptr<model> make_deque_model(bool broken_no_gen_bump);
+// Owner (push x3 into a capacity-2 ring, pop-all) vs a one-task-per-steal
+// thief on one ws_deque_core. broken_no_last_cas selects
+// deque_policy_no_last_cas, where the owner takes the last element with a
+// plain top_ store (caught as a double-executed task).
+std::unique_ptr<model> make_deque_model(bool broken_no_last_cas);
 
 // Owner publishing, consuming, closing and REOPENING one range_slot_core
 // span vs a thief probing try_steal. broken_no_drain selects

@@ -24,7 +24,7 @@
 // real_traits below is the shipping instantiation: every member is a bare
 // alias or an always-inline forwarder, so the instantiated cores compile
 // to exactly the code the hand-written versions produced (checked by the
-// BM_SpanOverhead / BM_BatchSteal benchmarks). The harness instantiation
+// BM_SpanOverhead / BM_DequePushSteal benchmarks). The harness instantiation
 // lives in verify/shim.h.
 #pragma once
 

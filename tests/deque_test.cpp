@@ -98,85 +98,15 @@ TEST(Deque, InterleavedPushPop) {
   EXPECT_EQ(remaining, 200);
 }
 
-TEST(DequeBatch, EmptyDequeYieldsNothing) {
-  ws_deque d, mine;
-  std::uint32_t k = 99;
-  EXPECT_EQ(d.steal_batch(mine, &k), nullptr);
-  EXPECT_EQ(k, 0u);
-  EXPECT_EQ(mine.size_estimate(), 0);
-}
-
-TEST(DequeBatch, TakesHalfOldestFirst) {
-  ws_deque d, mine;
-  marker_task t0(0), t1(1), t2(2), t3(3), t4(4), t5(5), t6(6), t7(7);
-  marker_task* all[] = {&t0, &t1, &t2, &t3, &t4, &t5, &t6, &t7};
-  for (auto* t : all) d.push(t);
-  std::uint32_t k = 0;
-  auto* got = static_cast<marker_task*>(d.steal_batch(mine, &k));
-  // Half of 8 visible tasks: the oldest returns, three seed `mine`.
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->id(), 0);
-  EXPECT_EQ(k, 4u);
-  EXPECT_EQ(mine.size_estimate(), 3);
-  EXPECT_EQ(d.size_estimate(), 4);
-  // The surplus was pushed in victim (FIFO) order, so the thief's LIFO
-  // pops run newest-of-the-batch first...
-  EXPECT_EQ(static_cast<marker_task*>(mine.pop())->id(), 3);
-  EXPECT_EQ(static_cast<marker_task*>(mine.pop())->id(), 2);
-  EXPECT_EQ(static_cast<marker_task*>(mine.pop())->id(), 1);
-  // ...and the victim keeps its own newest tasks.
-  EXPECT_EQ(static_cast<marker_task*>(d.pop())->id(), 7);
-}
-
-TEST(DequeBatch, SingleElementTransfersAlone) {
-  ws_deque d, mine;
-  marker_task a(42);
-  d.push(&a);
-  std::uint32_t k = 0;
-  EXPECT_EQ(d.steal_batch(mine, &k), &a);
-  EXPECT_EQ(k, 1u);
-  EXPECT_EQ(mine.size_estimate(), 0);
-  EXPECT_EQ(d.pop(), nullptr);
-  EXPECT_EQ(d.steal(), nullptr);
-}
-
-TEST(DequeBatch, ClaimIsCappedAtBatchMax) {
-  ws_deque d, mine;
-  std::vector<std::unique_ptr<marker_task>> tasks;
-  for (int i = 0; i < 40; ++i) {
-    tasks.push_back(std::make_unique<marker_task>(i));
-    d.push(tasks.back().get());
-  }
-  std::uint32_t k = 0;
-  auto* got = static_cast<marker_task*>(d.steal_batch(mine, &k));
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->id(), 0);
-  EXPECT_EQ(k, static_cast<std::uint32_t>(ws_deque::kStealBatchMax));
-  EXPECT_EQ(d.size_estimate(), 40 - ws_deque::kStealBatchMax);
-}
-
-TEST(DequeBatch, OwnerKeepsLifoUnderNearEmptyLock) {
-  // With two tasks a batch claims only one — (2 + 1) / 2 — and the owner's
-  // near-empty locked pop must still return the newest task.
-  ws_deque d, mine;
-  marker_task a(0), b(1);
-  d.push(&a);
-  d.push(&b);
-  std::uint32_t k = 0;
-  EXPECT_EQ(d.steal_batch(mine, &k), &a);
-  EXPECT_EQ(k, 1u);
-  EXPECT_EQ(d.pop(), &b);
-  EXPECT_EQ(d.pop(), nullptr);
-}
-
 // Stress: one owner pushing/popping, several thieves stealing. Every task
-// must be obtained exactly once across all parties.
+// must be obtained exactly once across all parties. The ring starts tiny,
+// so it grows repeatedly while thieves read it.
 class DequeStress : public ::testing::TestWithParam<int> {};
 
 TEST_P(DequeStress, EveryTaskTakenExactlyOnce) {
   const int thieves = GetParam();
   constexpr int kTasks = 20000;
-  ws_deque d(64);
+  ws_deque d(4);
   std::vector<std::unique_ptr<marker_task>> tasks;
   tasks.reserve(kTasks);
   for (int i = 0; i < kTasks; ++i) {
@@ -224,211 +154,9 @@ TEST_P(DequeStress, EveryTaskTakenExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Thieves, DequeStress, ::testing::Values(1, 2, 4));
 
-// Stress with batched thieves: each thief batch-steals into its own deque
-// and drains it locally, while the owner pushes (with a tiny initial
-// capacity, so the ring grows under concurrent batch claims) and pops
-// frequently enough to keep the deque near-empty — exercising the top-lock
-// path against in-flight batch claims. Exactly-once must still hold.
-class DequeBatchStress : public ::testing::TestWithParam<int> {};
-
-TEST_P(DequeBatchStress, EveryTaskTakenExactlyOnce) {
-  const int thieves = GetParam();
-  constexpr int kTasks = 20000;
-  ws_deque d(4);  // forces repeated grow() during live batch claims
-  std::vector<std::unique_ptr<marker_task>> tasks;
-  tasks.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    tasks.push_back(std::make_unique<marker_task>(i));
-  }
-
-  std::vector<std::atomic<int>> taken(kTasks);
-  for (auto& t : taken) t.store(0);
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> pool;
-  for (int t = 0; t < thieves; ++t) {
-    pool.emplace_back([&] {
-      ws_deque mine(8);
-      const auto drain = [&] {
-        while (auto* t2 = static_cast<marker_task*>(mine.pop())) {
-          taken[t2->id()].fetch_add(1);
-        }
-      };
-      while (!done.load(std::memory_order_acquire)) {
-        std::uint32_t k = 0;
-        if (auto* t2 = static_cast<marker_task*>(d.steal_batch(mine, &k))) {
-          taken[t2->id()].fetch_add(1);
-          drain();
-        }
-      }
-      // Final sweep in case the owner finished while we dozed.
-      std::uint32_t k = 0;
-      while (auto* t2 = static_cast<marker_task*>(d.steal_batch(mine, &k))) {
-        taken[t2->id()].fetch_add(1);
-        drain();
-      }
-    });
-  }
-
-  // Owner: push all, popping every other push so the deque hovers around
-  // the near-empty regime where pops contend with batch claims.
-  for (int i = 0; i < kTasks; ++i) {
-    d.push(tasks[i].get());
-    if (i % 2 == 0) {
-      if (auto* t2 = static_cast<marker_task*>(d.pop())) {
-        taken[t2->id()].fetch_add(1);
-      }
-    }
-  }
-  while (auto* t2 = static_cast<marker_task*>(d.pop())) {
-    taken[t2->id()].fetch_add(1);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
-
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(taken[i].load(), 1) << "task " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Thieves, DequeBatchStress, ::testing::Values(1, 2, 4));
-
-// Deterministic regression (locked-pop ABA): a batch claim is held in
-// flight (via the test gate between steal_batch's slot reads and its CAS)
-// while the owner lock-pops through the claim range and refills the ring
-// slots with fresh tasks. top_'s index is back at the claim's expected
-// value, so before the generation counter the stale CAS *succeeded* —
-// handing the thief a task the owner had already taken and stranding the
-// refills below top_. With the generation bumped on every locked-pop
-// unlock, the stale claim must fail and every task must stay reachable.
-TEST(DequeBatch, LockedPopsInvalidateInFlightBatchClaim) {
-  struct gate_ctx {
-    std::atomic<bool> reached{false};
-    std::atomic<bool> release{false};
-  };
-  static constexpr auto gate_fn = [](void* p) {
-    auto* g = static_cast<gate_ctx*>(p);
-    if (g->reached.exchange(true, std::memory_order_acq_rel)) return;
-    while (!g->release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  };
-
-  ws_deque d(16);
-  marker_task t0(0), t1(1), t2(2), t3(3), r1(11), r2(12), r3(13);
-  for (auto* t : {&t0, &t1, &t2, &t3}) d.push(t);
-
-  gate_ctx g;
-  ws_deque::set_batch_claim_gate(+gate_fn, &g);
-  task* got = &t0;
-  std::uint32_t k = 99;
-  std::thread thief([&] {
-    ws_deque mine(8);
-    // 4 visible tasks -> want = 2: the claim is prepared over {t0, t1}.
-    got = d.steal_batch(mine, &k);
-    EXPECT_EQ(mine.pop(), nullptr);  // a failed claim deposits nothing
-  });
-  while (!g.reached.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  // Owner: three locked near-empty pops — the last consumes t1, inside the
-  // thief's prepared claim range — then refill the freed ring slots.
-  EXPECT_EQ(d.pop(), &t3);
-  EXPECT_EQ(d.pop(), &t2);
-  EXPECT_EQ(d.pop(), &t1);
-  d.push(&r1);
-  d.push(&r2);
-  d.push(&r3);
-  g.release.store(true, std::memory_order_release);
-  thief.join();
-  ws_deque::set_batch_claim_gate(nullptr, nullptr);
-
-  EXPECT_EQ(got, nullptr);
-  EXPECT_EQ(k, 0u);
-  // Nothing double-taken, nothing stranded: the owner still holds exactly
-  // the three refills and the untouched oldest task.
-  EXPECT_EQ(d.pop(), &r3);
-  EXPECT_EQ(d.pop(), &r2);
-  EXPECT_EQ(d.pop(), &r1);
-  EXPECT_EQ(d.pop(), &t0);
-  EXPECT_EQ(d.pop(), nullptr);
-}
-
-// Regression (locked-pop ABA): pop()'s near-empty path used to restore
-// top_'s raw pre-lock value on unlock, so a batch claim prepared before a
-// run of locked pops could still commit afterwards — re-taking slots the
-// owner had already consumed (double execution) and stranding top_ above
-// bottom_ (later pushes below it were lost). The owner here oscillates
-// strictly inside the near-empty band without ever draining, so top_'s
-// index only moves when a thief's claim lands and every owner pop goes
-// through the lock — the regime where only the generation bump makes a
-// stale batch claim fail. Exactly-once must hold.
-TEST(DequeBatch, NearEmptyOscillationSurvivesStaleBatchClaims) {
-  constexpr int kTotal = 40000;
-  constexpr int kThieves = 2;
-  ws_deque d(16);
-  std::vector<std::unique_ptr<marker_task>> tasks;
-  tasks.reserve(kTotal);
-  for (int i = 0; i < kTotal; ++i) {
-    tasks.push_back(std::make_unique<marker_task>(i));
-  }
-  std::vector<std::atomic<int>> taken(kTotal);
-  for (auto& t : taken) t.store(0);
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThieves; ++t) {
-    pool.emplace_back([&] {
-      ws_deque mine(8);
-      const auto drain = [&] {
-        while (auto* t2 = static_cast<marker_task*>(mine.pop())) {
-          taken[t2->id()].fetch_add(1);
-        }
-      };
-      while (!done.load(std::memory_order_acquire)) {
-        std::uint32_t k = 0;
-        if (auto* t2 = static_cast<marker_task*>(d.steal_batch(mine, &k))) {
-          taken[t2->id()].fetch_add(1);
-          drain();
-        }
-      }
-      std::uint32_t k = 0;
-      while (auto* t2 = static_cast<marker_task*>(d.steal_batch(mine, &k))) {
-        taken[t2->id()].fetch_add(1);
-        drain();
-      }
-    });
-  }
-
-  // Owner: refill to 7 visible (just under kStealBatchMax, so every pop
-  // takes the locked near-empty path), then pop down to 1 — never taking
-  // the last element. Each refill rewrites the ring slots the pops just
-  // consumed, which is what turns a stale claim into double execution.
-  int next = 0;
-  while (next < kTotal) {
-    while (d.size_estimate() < 7 && next < kTotal) {
-      d.push(tasks[next++].get());
-    }
-    for (int i = 0; i < 6; ++i) {
-      auto* t2 = static_cast<marker_task*>(d.pop());
-      if (t2 == nullptr) break;
-      taken[t2->id()].fetch_add(1);
-    }
-  }
-  while (auto* t2 = static_cast<marker_task*>(d.pop())) {
-    taken[t2->id()].fetch_add(1);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
-
-  for (int i = 0; i < kTotal; ++i) {
-    ASSERT_EQ(taken[i].load(), 1) << "task " << i;
-  }
-}
-
 // The single-element race, isolated: one task in the deque, the owner pops
-// while a batch thief claims. Exactly one side may win each round.
-TEST(DequeBatch, SingleElementRaceResolvesExactlyOnce) {
+// while a thief steals. Exactly one side may win each round.
+TEST(Deque, SingleElementRaceResolvesExactlyOnce) {
   constexpr int kRounds = 5000;
   ws_deque d(4);
   marker_task only(0);
@@ -437,16 +165,10 @@ TEST(DequeBatch, SingleElementRaceResolvesExactlyOnce) {
   std::atomic<bool> done{false};
 
   std::thread thief([&] {
-    ws_deque mine(4);
     int seen = 0;
     while (!done.load(std::memory_order_acquire)) {
       if (phase.load(std::memory_order_acquire) > seen) {
-        std::uint32_t k = 0;
-        if (d.steal_batch(mine, &k) != nullptr) {
-          winners.fetch_add(1);
-          EXPECT_EQ(k, 1u);
-          EXPECT_EQ(mine.pop(), nullptr);
-        }
+        if (d.steal() != nullptr) winners.fetch_add(1);
         seen = phase.load(std::memory_order_acquire);
       }
     }

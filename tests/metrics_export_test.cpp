@@ -170,10 +170,11 @@ TEST(Prometheus, ExposesCountersHistogramsSamplerAndSites) {
   reg.of(0).wake_to_chunk_hist.record(500);
 
   loop_profiler prof;
+  const loop_site site{"prom.cpp", 3, "prom_site"};
   {
     invocation_probe probe(reg, &prof);
     bump(reg.of(0).counters.chunks_run, 4);
-    probe.commit(nullptr, "prom_site", policy::hybrid, 2, 8, 100, 0, 0,
+    probe.commit(&site, policy::hybrid, 2, 8, 100, 0, 0,
                  degrade_reason::none);
   }
   sampler smp(reg);
@@ -198,7 +199,7 @@ TEST(Prometheus, ExposesCountersHistogramsSamplerAndSites) {
   EXPECT_TRUE(has("hls_wake_to_first_chunk_ns_sum 500\n"));
   EXPECT_TRUE(has("hls_metrics_samples_total"));
   const std::string labels =
-      "{site=\"prom_site\",n_bucket=\"" +
+      "{site=\"prom.cpp:3#prom_site\",n_bucket=\"" +
       std::to_string(loop_profiler::n_bucket_of(100)) + "\"}";
   EXPECT_TRUE(has("hls_loop_site_invocations_total" + labels + " 1\n"));
   EXPECT_TRUE(has("hls_loop_site_wall_ns_total" + labels));
@@ -225,11 +226,12 @@ TEST(Prometheus, EscapesLabelValues) {
   registry reg(1);
   loop_profiler prof;
   invocation_probe probe(reg, &prof);
-  probe.commit(nullptr, "quo\"te\\path", policy::hybrid, 1, 8, 4, 0, 0,
-               degrade_reason::none);
+  const loop_site site{"esc.cpp", 1, "quo\"te\\path"};
+  probe.commit(&site, policy::hybrid, 1, 8, 4, 0, 0, degrade_reason::none);
   std::ostringstream os;
   write_prometheus(os, reg, nullptr, &prof);
-  EXPECT_NE(os.str().find("site=\"quo\\\"te\\\\path\""), std::string::npos)
+  EXPECT_NE(os.str().find("site=\"esc.cpp:1#quo\\\"te\\\\path\""),
+            std::string::npos)
       << os.str();
 }
 
@@ -281,18 +283,20 @@ TEST(JsonlExport, SamplesRoundTripThroughJsonLite) {
 TEST(JsonlExport, ProfilesCarryRecordsSitesAndResidualArithmetic) {
   registry reg(2);
   loop_profiler prof;
+  const loop_site site_a{"jl.cpp", 1, "jl_a"};
+  const loop_site site_b{"jl.cpp", 2, "jl_b"};
   bump(reg.of(0).counters.tasks_run, 5);  // unattributed -> residual
   {
     invocation_probe probe(reg, &prof);
     bump(reg.of(1).counters.tasks_run, 2);
     bump(reg.of(1).counters.chunks_run, 1);
-    probe.commit(nullptr, "jl_a", policy::hybrid, 2, 8, 64, 0, 0,
-                   degrade_reason::none);
+    probe.commit(&site_a, policy::hybrid, 2, 8, 64, 0, 0,
+                 degrade_reason::none);
   }
   {
     invocation_probe probe(reg, &prof);
     bump(reg.of(0).counters.steals, 4);
-    probe.commit(nullptr, "jl_b", policy::dynamic_ws, 0, 8, 2048, 0, 0,
+    probe.commit(&site_b, policy::dynamic_ws, 0, 8, 2048, 0, 0,
                  degrade_reason::foreign_thread);
   }
 
@@ -309,7 +313,7 @@ TEST(JsonlExport, ProfilesCarryRecordsSitesAndResidualArithmetic) {
       ++invocations;
       invocation_tasks += row.get("delta")->get("tasks_run")->as_number();
       invocation_steals += row.get("delta")->get("steals")->as_number();
-      if (row.get("site")->as_string() == "jl_b") {
+      if (row.get("site")->as_string() == site_b.key()) {
         EXPECT_EQ(row.get("degrade")->as_string(), "foreign_thread");
         EXPECT_EQ(row.get("policy")->as_string(), "dynamic_ws");
         EXPECT_EQ(row.get("iterations")->as_number(), 2048.0);

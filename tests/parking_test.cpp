@@ -234,11 +234,11 @@ TEST(RuntimeWake, ChaosSeededParkingRunsComplete) {
   EXPECT_GT(rt.tel().totals().faults_injected, 0u);
 }
 
-// Batched steals feed the telemetry counters: worker 0 spawns a burst and
-// then refuses to help (spin-yield, no popping), so every task must reach
-// the other workers through steals — and with a deep victim deque those
-// steals move multiple tasks per claim.
-TEST(RuntimeWake, BatchStealsMoveSurplusTasks) {
+// Steals feed the telemetry counters: worker 0 spawns a burst and then
+// refuses to help (spin-yield, no popping), so every task must reach the
+// other workers through steals — one task per steal, even from a deep
+// victim deque.
+TEST(RuntimeWake, EveryTaskReachesAThiefByItsOwnSteal) {
   runtime rt(4);
   task_group tg(rt);
   std::atomic<int> ran{0};
@@ -252,10 +252,7 @@ TEST(RuntimeWake, BatchStealsMoveSurplusTasks) {
   tg.wait();
   EXPECT_EQ(ran.load(), kTasks);
   const telemetry::counter_set total = rt.tel().totals();
-  EXPECT_GT(total.steals, 0u);
-  // Multi-task batches actually happened: more tasks moved than there were
-  // successful claims.
-  EXPECT_GT(total.batch_steal_tasks, total.steals);
+  EXPECT_EQ(total.steals, static_cast<std::uint64_t>(kTasks));
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(InvocationProbe, InactiveProbeIsANoOp) {
   EXPECT_FALSE(probe.active());
   probe.setup_done();
   probe.work_done();
-  probe.commit(nullptr, nullptr, policy::hybrid, 4, 8, 100, 0, 0,
+  probe.commit(nullptr, policy::hybrid, 4, 8, 100, 0, 0,
                degrade_reason::none);
 }
 
@@ -142,12 +142,13 @@ TEST(InvocationProbe, DeltaCoversExactlyTheProbeWindow) {
   bump(reg.of(1).counters.chunks_run, 1);
   probe.setup_done();
   probe.work_done();
-  probe.commit(nullptr, "window", policy::hybrid, 4, 16, 1 << 10, 0, 0,
+  const loop_site site{"window.cpp", 7, nullptr};
+  probe.commit(&site, policy::hybrid, 4, 16, 1 << 10, 0, 0,
                degrade_reason::none);
 
   const auto snaps = prof.snapshot();
   ASSERT_EQ(snaps.size(), 1u);
-  EXPECT_EQ(snaps[0].site, "window");  // no site: key falls back to label
+  EXPECT_EQ(snaps[0].site, "window.cpp:7");  // unnamed site: file:line
   EXPECT_EQ(snaps[0].n_bucket, loop_profiler::n_bucket_of(1 << 10));
   ASSERT_EQ(snaps[0].records.size(), 1u);
   const invocation_record& r = snaps[0].records[0];
@@ -171,20 +172,21 @@ TEST(InvocationProbe, KeyFallsBackToPolicyName) {
   registry reg(1);
   loop_profiler prof;
   invocation_probe probe(reg, &prof);
-  probe.commit(nullptr, nullptr, policy::dynamic_ws, 0, 8, 32, 0, 0,
+  probe.commit(nullptr, policy::dynamic_ws, 0, 8, 32, 0, 0,
                degrade_reason::none);
   const auto snaps = prof.snapshot();
   ASSERT_EQ(snaps.size(), 1u);
   EXPECT_EQ(snaps[0].site, policy_name(policy::dynamic_ws));
 }
 
+// The site's name labels the loop's trace span; the profiler keys by the
+// whole site, so two loops that share a label keep separate histories.
 TEST(InvocationProbe, SiteKeyWinsOverLabel) {
   registry reg(1);
   loop_profiler prof;
   const loop_site site{"probe.cpp", 12, "named"};
   invocation_probe probe(reg, &prof);
-  probe.commit(&site, "ignored-label", policy::hybrid, 1, 8, 16, 0, 0,
-               degrade_reason::none);
+  probe.commit(&site, policy::hybrid, 1, 8, 16, 0, 0, degrade_reason::none);
   const auto snaps = prof.snapshot();
   ASSERT_EQ(snaps.size(), 1u);
   EXPECT_EQ(snaps[0].site, "probe.cpp:12#named");
@@ -197,7 +199,7 @@ TEST(InvocationProbe, RecordedPlusResidualEqualsTotals) {
   {
     invocation_probe probe(reg, &prof);
     bump(reg.of(1).counters.tasks_run, 2);
-    probe.commit(nullptr, "a", policy::hybrid, 2, 8, 64, 0, 0,
+    probe.commit(nullptr, policy::hybrid, 2, 8, 64, 0, 0,
                  degrade_reason::none);
   }
   bump(reg.of(0).counters.steals, 4);  // after the window: residual

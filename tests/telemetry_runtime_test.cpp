@@ -16,6 +16,7 @@
 #include "json_lite.h"
 #include "sched/loop.h"
 #include "telemetry/chrome_trace.h"
+#include "telemetry/profiler.h"
 #include "telemetry/registry.h"
 #include "util/bits.h"
 
@@ -27,10 +28,10 @@ constexpr std::uint32_t kWorkers = 4;
 // A body heavy enough that workers genuinely join loops (and contend for
 // partitions) instead of the poster finishing everything alone.
 void run_hybrid_loops(rt::runtime& rt, int loops, std::int64_t n,
-                      const char* label = nullptr) {
+                      const telemetry::loop_site* site = nullptr) {
   std::vector<double> acc(static_cast<std::size_t>(n), 1.0);
   loop_options opt;
-  opt.label = label;
+  opt.site = site;
   opt.grain = 64;
   for (int l = 0; l < loops; ++l) {
     parallel_for(
@@ -137,7 +138,7 @@ TEST(TelemetryRuntime, ChromeTraceRoundTripsWithSpansAndClaims) {
   rt::runtime rt(kWorkers);
   run_hybrid_loops(rt, 3, 20'000);  // ensure all workers are running
   rt.tel().enable_events();
-  run_hybrid_loops(rt, 30, 20'000, "traced_loop");
+  run_hybrid_loops(rt, 30, 20'000, HLS_LOOP_SITE("traced_loop"));
   rt.tel().disable_events();
 
   std::ostringstream os;
@@ -186,7 +187,7 @@ TEST(TelemetryRuntime, ChromeTraceRoundTripsWithSpansAndClaims) {
     EXPECT_GE(claims[tid], 1) << "worker " << tid;
     EXPECT_GE(spans[tid], 1) << "worker " << tid;
   }
-  EXPECT_GE(labeled_loops, 1);  // loop label flowed into span names
+  EXPECT_GE(labeled_loops, 1);  // site name flowed into span names
 }
 #endif
 

@@ -152,12 +152,15 @@ void expect_caught_and_replayable(std::unique_ptr<model> fresh_a,
   EXPECT_EQ(again.failure, res.failure);
 }
 
-TEST(VerifyBroken, DequeLockedPopWithoutGenBumpIsCaught) {
-  // Dropping the generation bump reintroduces the locked-pop ABA: a stale
-  // batch claim commits after the owner consumed slots inside it, so a
-  // task double-executes.
+TEST(VerifyBroken, DequeLastPopWithoutCasIsCaught) {
+  // Taking the last element with a plain top_ store instead of the CAS
+  // lets a thief's committed steal and the owner's pop both claim it: the
+  // last task double-executes.
   expect_caught_and_replayable(make_deque_model(true), make_deque_model(true),
                                3);
+  const auto res = explore(*make_deque_model(true), exhaustive(3));
+  EXPECT_NE(res.failure.find("executed 2 times"), std::string::npos)
+      << res.failure;
 }
 
 TEST(VerifyBroken, RangeSlotCloseWithoutDrainIsCaught) {

@@ -1,7 +1,8 @@
-// Wall-clock latency tests of the idle and wake paths: each asserts that
+// Wall-clock tests of the idle, wake and watchdog paths: each asserts that
 // a wake, a re-check or a park bail-out completes far below the park
-// backstop. They measure time, so concurrent test binaries that take the
-// CPUs can fail them; CMake registers this binary RUN_SERIAL.
+// backstop, or that the watchdog classes a long chunk by whether it runs.
+// They measure time, so concurrent test binaries that take the CPUs can
+// fail them; CMake registers this binary RUN_SERIAL.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/health.h"
 #include "runtime/parking.h"
 #include "runtime/runtime.h"
 #include "runtime/task.h"
@@ -185,6 +187,53 @@ TEST(RuntimeWake, StaticPostWakesTheWholeParkedTeam) {
     EXPECT_EQ(ran_on[b].load(), b) << "block " << b << " left its owner";
   }
   EXPECT_GE(rt.tel().totals().wakes_sent - wakes_before, kWorkers - 1);
+}
+
+// ---- watchdog -----------------------------------------------------------
+
+// A chunk body beats no heartbeat until it ends, so a body five progress
+// budgets long is silent for five budgets. Spinning, it is busy on its
+// thread's CPU clock and the watchdog must not call it a stall; asleep,
+// it is off-CPU and every chunk must register one. One worker, so the
+// count is the chunk's alone: a peer woken onto a CPU the spinner holds
+// waits on the run queue, silent and off-CPU — a real stall, not this one.
+TEST(WatchdogClock, LongChunkStallsOnlyWhenOffCpu) {
+  constexpr int kLoops = 10;
+  constexpr auto kBudget = 2ms;
+  runtime_options o;
+  o.num_workers = 1;
+  o.progress_budget = kBudget;
+  runtime rt(o);
+  const health_watchdog& wd = *rt.watchdog();
+  // Stalls over kLoops chunks the watchdog scanned at least five times (a
+  // chunk lasts ten scan intervals). The watchdog's own thread can be kept
+  // off the CPU too, and a chunk it never saw cannot be classified; such a
+  // chunk is run again, up to kLoops extra times.
+  const auto stalls_over_loops = [&](bool spin) {
+    std::uint64_t stalls = 0;
+    int judged = 0;
+    for (int i = 0; i < 2 * kLoops && judged < kLoops; ++i) {
+      const std::uint64_t stalls0 = rt.tel().totals().stalls_detected;
+      const std::uint64_t scans0 = wd.scans();
+      const loop_result res =
+          for_each(rt, 0, 1, policy::hybrid, [&](std::int64_t) {
+            const auto end = std::chrono::steady_clock::now() + 5 * kBudget;
+            if (!spin) std::this_thread::sleep_until(end);
+            while (std::chrono::steady_clock::now() < end) {
+            }
+          });
+      EXPECT_TRUE(res.ok());
+      if (wd.scans() - scans0 < 5) continue;
+      stalls += rt.tel().totals().stalls_detected - stalls0;
+      ++judged;
+    }
+    EXPECT_EQ(judged, kLoops) << "the watchdog missed too many chunks";
+    return stalls;
+  };
+  const std::uint64_t spinning = stalls_over_loops(/*spin=*/true);
+  const std::uint64_t sleeping = stalls_over_loops(/*spin=*/false);
+  EXPECT_LT(2 * spinning, std::uint64_t{kLoops}) << spinning << " stalls";
+  EXPECT_GE(sleeping, std::uint64_t{kLoops});
 }
 
 }  // namespace

@@ -1,18 +1,13 @@
 // Seeded-broken fixture: raw synchronization primitives inside a
-// *_core.h protocol header, outside any allowlisted escape scope.
+// *_core.h protocol header.
 // Expected: error[ordlint:traits-escape] for the std::atomic member and
-// the std::mutex member; the allowlisted test_seam scope must pass.
+// the std::mutex member.
 #pragma once
 
 #include <atomic>
 #include <mutex>
 
 namespace fixture {
-
-// Allowlisted escape (named in gate_core.contract.toml): must NOT fire.
-struct test_seam {
-  inline static std::atomic<int> knob{0};
-};
 
 template <class Traits>
 class gate_core {

@@ -34,15 +34,9 @@ def emit(path):
     out = [f'<a id="{anchor}"></a>']
     out.append(f"### `{proto['name']}` — `{path}`")
     out.append("")
-    extras = []
     if proto.get("plain"):
-        extras.append("plain (`Traits::var`) fields: "
-                      + ", ".join(f"`{p}`" for p in proto["plain"]))
-    if proto.get("escapes"):
-        extras.append("allowlisted raw-sync escapes: "
-                      + ", ".join(f"`{e}`" for e in proto["escapes"]))
-    if extras:
-        out.append("; ".join(extras) + ".")
+        out.append("plain (`Traits::var`) fields: "
+                   + ", ".join(f"`{p}`" for p in proto["plain"]) + ".")
         out.append("")
     out.append("| variable | role | function | op | order | pairing |")
     out.append("|---|---|---|---|---|---|")

@@ -30,8 +30,7 @@ Checks (docs/verification.md "Static ordering contracts"):
   traits-escape      raw std::atomic / std::mutex / std::condition_variable
                      inside a *_core.h protocol header bypasses the
                      Traits:: seam and makes the protocol invisible to
-                     hls_verify; only allowlisted scopes (the documented
-                     ws_deque_gate test seam) may do so.
+                     hls_verify; no scope is exempt.
   relaxed-guard      ADVISORY: a relaxed load guarding a release-class
                      commit with no confirming re-read of the guard
                      variable — the shape the Dekker re-read patterns in
@@ -172,71 +171,11 @@ def mask_comments_and_strings(text: str) -> str:
 _SCOPE_LAMBDA = re.compile(r"\]\s*(?:\([^()]*\))?\s*(?:mutable\s*)?"
                            r"(?:noexcept\s*)?(?:->\s*[\w:<>,\s&*]+)?\s*$")
 _SCOPE_NS = re.compile(r"namespace\s+([\w:]*)\s*$")
-_SCOPE_TYPE = re.compile(
-    r"(?:struct|class|union|enum)\s+(?:alignas\s*\([^)]*\)\s*)?"
-    r"(?:[A-Z_][A-Z0-9_]*\s*\([^)]*\)\s*)*([A-Za-z_]\w*)?")
 _SCOPE_FN = re.compile(r"([A-Za-z_~][\w]*(?:\s*::\s*[A-Za-z_~][\w]*)*)\s*\(")
 # Control-flow statements open blocks that inherit the enclosing function;
 # their conditions often contain atomic calls (`if (x.compare_exchange...`)
 # that must not be mistaken for function signatures.
 _SCOPE_CTRL = re.compile(r"(?:else\b\s*)?(?:if|while|for|switch|do|try|catch)\b")
-
-
-def scope_spans(masked: str):
-    """Yields (start, end, fn_name) for every brace scope, where fn_name is
-    the innermost enclosing function ('' outside any). Heuristic, tuned to
-    the house style: constructs it cannot classify inherit the surrounding
-    function, which is the safe default for every check that uses this."""
-    stack = []  # (open_offset, kind, fn_at_entry)
-    spans = []
-    cur_fn = [""]
-
-    def lookback(pos: int) -> str:
-        start = pos - 1
-        # Snippet since the previous statement/scope boundary.
-        while start >= 0 and masked[start] not in ";{}":
-            start -= 1
-        return masked[start + 1:pos]
-
-    for m in re.finditer(r"[{}]", masked):
-        pos = m.start()
-        if m.group() == "{":
-            snip = lookback(pos).strip()
-            kind, fn = "block", cur_fn[-1]
-            if _SCOPE_CTRL.match(snip):
-                kind = "block"
-            elif _SCOPE_LAMBDA.search(snip):
-                kind = "lambda"  # inherits enclosing fn
-            elif _SCOPE_NS.search(snip):
-                kind = "namespace"
-            elif snip.endswith("=") or snip.endswith("return") or not snip:
-                kind = "init"
-            elif re.search(r"\b(?:struct|class|union|enum)\b", snip):
-                tm = _SCOPE_TYPE.search(snip)
-                kind = "type"
-                fn = ""  # member decls are outside any function
-                if tm and tm.group(1):
-                    fn = ""  # type name is scope, not a function
-            else:
-                fm = None
-                for cand in _SCOPE_FN.finditer(snip):
-                    name = re.sub(r"\s+", "", cand.group(1))
-                    head = name.split("::")[-1]
-                    if head not in CXX_KEYWORDS:
-                        fm = head
-                        break
-                if fm is not None and re.search(r"\)[^()]*$", snip):
-                    kind, fn = "function", fm
-            stack.append((pos, kind, cur_fn[-1]))
-            cur_fn.append(fn if kind == "function" else
-                          (cur_fn[-1] if kind in ("block", "lambda", "init")
-                           else ""))
-        else:
-            if stack:
-                open_pos, kind, _ = stack.pop()
-                cur_fn.pop()
-                spans.append((open_pos, pos, kind))
-    return spans
 
 
 class ScopeIndex:
@@ -515,7 +454,6 @@ class Contract:
     doc_anchor: str = ""
     plain: list = dataclasses.field(default_factory=list)
     order_symbols: list = dataclasses.field(default_factory=list)
-    escapes: list = dataclasses.field(default_factory=list)
     atomics: list = dataclasses.field(default_factory=list)
     entries: list = dataclasses.field(default_factory=list)
 
@@ -533,7 +471,6 @@ def load_contract(path: str):
         doc=proto.get("doc", ""), doc_anchor=proto.get("doc_anchor", ""),
         plain=list(proto.get("plain", [])),
         order_symbols=list(proto.get("order_symbols", [])),
-        escapes=list(proto.get("escapes", [])),
         atomics=[a["name"] for a in data.get("atomic", [])],
     )
     errors = []
@@ -606,8 +543,7 @@ class Linter:
         if contract:
             self._check_contract(path, contract, sites, decls)
         if os.path.basename(path).endswith("_core.h"):
-            self._check_escapes(path, masked, scopes,
-                                contract.escapes if contract else [])
+            self._check_escapes(path, masked)
         self._check_relaxed_guards(path, masked, scopes, sites, tags)
         return sites
 
@@ -692,7 +628,7 @@ class Linter:
                          f"plain (Traits::var) but the code declares it "
                          f"{decls[name][0]}")
         # Every atomic member the file declares must be contract-covered
-        # (declared [[atomic]] or inside an allowlisted escape scope).
+        # (declared [[atomic]]).
         for name, (kind, line) in decls.items():
             if kind != "atomic":
                 continue
@@ -748,37 +684,15 @@ class Linter:
                              f"{e.describe()} declares count={e.count} but "
                              f"matched {e.matched} sites")
 
-    def _check_escapes(self, path, masked, scopes, allowlist):
-        spans = scope_spans(masked)
-        type_spans = []
-        for start, end, kind in spans:
-            if kind != "type":
-                continue
-            # Recover the type name for allowlisting.
-            s = start - 1
-            while s >= 0 and masked[s] not in ";{}":
-                s -= 1
-            tm = _SCOPE_TYPE.search(masked[s + 1:start])
-            name = tm.group(1) if tm and tm.group(1) else ""
-            type_spans.append((start, end, name))
+    def _check_escapes(self, path, masked):
         for m in ESCAPE_RE.finditer(masked):
-            inner = ""
-            inner_len = None
-            for start, end, name in type_spans:
-                if start <= m.start() <= end and (
-                        inner_len is None or end - start < inner_len):
-                    inner, inner_len = name, end - start
-            if inner in allowlist:
-                continue
             line = masked.count("\n", 0, m.start()) + 1
             tok = m.group(0).replace(" ", "")
             self.add(path, line, "traits-escape",
                      f"raw {tok.rstrip('<')} in a *_core.h protocol header "
                      f"bypasses the Traits:: synchronization seam — the "
                      f"protocol becomes invisible to hls_verify; route it "
-                     f"through the Traits type or allowlist the scope in "
-                     f"the contract (allowed here: "
-                     f"{', '.join(allowlist) or 'nothing'})")
+                     f"through the Traits type")
 
     # Advisory: relaxed load guards a release-class commit, no re-read.
     def _check_relaxed_guards(self, path, masked, scopes, sites, tags):
