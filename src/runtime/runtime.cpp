@@ -263,25 +263,6 @@ runtime::park_outcome runtime::idle_park(worker& w, park_predicate done) {
   return {res.waited, res.reason};
 }
 
-runtime::park_outcome runtime::backoff_park(worker& w,
-                                            std::chrono::nanoseconds nap,
-                                            park_predicate done) {
-  if (stopping()) return {false, parking_lot::wake_reason::stop};
-  const std::uint32_t ticket = parking_.prepare_park(w.id());
-  // Unlike idle_park, work_visible is deliberately NOT part of this
-  // re-check (see the header comment): the whole point of a backoff park
-  // is to stop spinning over work that is visible but unacquirable.
-  // Stopping and the caller's completion predicate still are — a
-  // completion broadcast racing the announcement must cancel here, and
-  // one landing after the announcement finds the waiter and unparks it.
-  if (stopping() || done.satisfied()) {
-    parking_.cancel_park(w.id());
-    return {false, parking_lot::wake_reason::notified};
-  }
-  const parking_lot::park_result res = parking_.park(w.id(), ticket, nap);
-  return {res.waited, res.reason};
-}
-
 void runtime::worker_main(std::uint32_t id) {
   worker& w = *workers_[id];
   tls_worker = &w;

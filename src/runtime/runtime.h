@@ -178,30 +178,15 @@ class runtime {
   // idle sleeps.
   park_outcome idle_park(worker& w, park_predicate done = {});
 
-  // Backoff variant used by the steal-backoff path (worker::pause): parks
-  // for at most `nap` even though work IS visible. The re-check after the
-  // waiter announcement deliberately skips work_visible — a backoff park
-  // happens precisely because visible work keeps failing to be acquired
-  // (an open loop whose iterations are all claimed by a straggler, a
-  // range span that loses every split CAS), and re-checking it would turn
-  // every backoff into a cancelled park, i.e. back into spinning. It
-  // still re-checks stopping and the caller's completion predicate, and
-  // the waiter is announced through the ordinary parking protocol, so
-  // every liveness edge is covered: new work unparks announced waiters,
-  // completion broadcasts (loop retire / task_group drain) unpark_all,
-  // and the bounded nap backstops anything untracked. Model-checked as
-  // the parking-backoff model (src/verify/models).
-  park_outcome backoff_park(worker& w, std::chrono::nanoseconds nap,
-                            park_predicate done = {});
-
   // The health watchdog, or nullptr when runtime_options::watchdog is
   // false (runtime/health.h).
   health_watchdog* watchdog() noexcept { return watchdog_.get(); }
 
-  // True when any deque holds a task or the board has an open loop. Racy
-  // by nature (size estimates); used by the idle path's check-then-park
-  // re-check and the spurious-wake accounting, never for correctness of
-  // work distribution itself.
+  // True when any deque holds a task, the board has an open loop, a range
+  // slot is open or a handoff mailbox is full. Racy by nature (size
+  // estimates); used by the idle path's choice between an on-CPU backoff
+  // nap and a park, its check-then-park re-check and the spurious-wake
+  // accounting, never for correctness of work distribution itself.
   bool work_visible(std::uint32_t self) const noexcept;
 
   // The parking subsystem (exposed for tests and diagnostics).

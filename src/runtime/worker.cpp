@@ -331,7 +331,6 @@ void worker::pause(int idle_count, park_predicate done) {
   if (idle_count == 1) {
     // Progress happened since the last pause streak; restart the backoff
     // ladder from the spin rungs.
-    backoff_streak_ = 0;
     backoff_level_ = 0;
   }
   if (idle_count < 4) {
@@ -344,6 +343,12 @@ void worker::pause(int idle_count, park_predicate done) {
       // Injected pre-park preemption (the delay fault class).
       telemetry::bump(tel_.counters.faults_injected);
     }
+    // Visible work this worker failed to get: the loop it waits on is
+    // still open, so wait on the CPU for the next post rather than park.
+    if (rt_.work_visible(id_)) {
+      backoff_nap(done);
+      return;
+    }
     const std::uint64_t t0 = tel_.now();
     // Count only parks that actually blocked: idle_park reports
     // blocked == false when it bailed out in the check-then-park re-check
@@ -353,15 +358,7 @@ void worker::pause(int idle_count, park_predicate done) {
     hb_parked_.store(1, std::memory_order_relaxed);
     const runtime::park_outcome out = rt_.idle_park(*this, done);
     hb_parked_.store(0, std::memory_order_relaxed);
-    if (!out.blocked) {
-      // A cancelled park means work is visible but this worker keeps
-      // failing to acquire it (all iterations claimed by a straggler, or
-      // every split CAS lost). Repeated cancellations are the spinning-
-      // thief signature the steal backoff damps.
-      if (++backoff_streak_ >= kBackoffAfter) backoff_nap(done);
-      return;
-    }
-    backoff_streak_ = 0;
+    if (!out.blocked) return;
     backoff_level_ = 0;
     telemetry::bump(tel_.counters.idle_sleeps);
     const std::uint64_t dt = tel_.now() - t0;
@@ -395,9 +392,9 @@ void worker::pause(int idle_count, park_predicate done) {
 void worker::backoff_nap(park_predicate done) {
   // Bounded exponential nap with jitter: 2us << level, jittered to
   // 50-150% so synchronized thieves don't re-collide, capped at the park
-  // backstop. The nap goes through runtime::backoff_park (announced
-  // waiter, completion-predicate re-check, bounded timeout), so no wake
-  // edge is lost — see the model-checked parking-backoff protocol.
+  // backstop. The worker is not announced in the parking lot, so no wake
+  // reaches it: it watches for the edges that end its wait itself, and
+  // the deadline bounds any edge it does not watch (a new span or task).
   const std::int64_t base_ns = 2'000ll << backoff_level_;
   const std::int64_t cap_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -408,12 +405,20 @@ void worker::backoff_nap(park_predicate done) {
                             rng_.next_below(static_cast<std::uint64_t>(base_ns)));
   if (nap_ns > cap_ns) nap_ns = cap_ns;
   telemetry::bump(tel_.counters.steal_backoffs);
-  hb_parked_.store(1, std::memory_order_relaxed);
-  const runtime::park_outcome out =
-      rt_.backoff_park(*this, std::chrono::nanoseconds(nap_ns), done);
-  hb_parked_.store(0, std::memory_order_relaxed);
-  backoff_streak_ = 0;
-  if (out.blocked && backoff_level_ < kMaxBackoffLevel) ++backoff_level_;
+  const board& brd = rt_.loop_board();
+  const std::uint64_t posts = brd.posts();
+  const handoff_slot& box = rt_.handoff_of(id_);
+  const std::uint64_t t0 = tel_.now();
+  const std::uint64_t deadline = t0 + static_cast<std::uint64_t>(nap_ns);
+  std::uint64_t t = t0;
+  while (brd.posts() == posts && !box.full() && !done.satisfied() &&
+         !rt_.stopping() && t < deadline) {
+    std::this_thread::yield();
+    beat();  // on-CPU and holding no work: healthy, not silent
+    t = tel_.now();
+  }
+  telemetry::bump(tel_.counters.idle_spin_ns, t - t0);
+  if (backoff_level_ < kMaxBackoffLevel) ++backoff_level_;
 }
 
 }  // namespace hls::rt

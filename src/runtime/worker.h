@@ -154,18 +154,21 @@ class worker {
  private:
   friend class runtime;
 
-  // Progressive backoff: relax -> yield -> park on the runtime's
-  // per-worker parking slot (runtime::idle_park). `done` is the caller's
-  // work_until predicate (empty from the top-level worker loop); it joins
+  // Progressive backoff: relax -> yield -> the park rung. There, while
+  // work is visible anywhere (runtime::work_visible) the worker takes an
+  // on-CPU backoff_nap; only when none is does it park on its slot of the
+  // parking lot (runtime::idle_park). `done` is the caller's work_until
+  // predicate (empty from the top-level worker loop); it ends a nap, joins
   // the pre-park re-check and refines spurious-wake accounting.
   void pause(int idle_count, park_predicate done = {});
 
-  // Steal backoff: after kBackoffAfter consecutive idle_park attempts
-  // came back cancelled (work stayed visible but unacquirable — the
-  // spinning-thief signature), take one bounded exponential jittered nap
-  // via runtime::backoff_park instead of burning the straggler's cycles.
+  // Steal backoff: work is visible but this worker cannot get any
+  // (another owner's static block, a drained queue, a span too small to
+  // split). It waits on its own CPU, in a yield loop, for a bounded
+  // exponential jittered time, and stops early at a new board post, a
+  // deposit in its own mailbox, `done`, or shutdown. A park would make
+  // its arrival at the next loop wait for a futex wake.
   void backoff_nap(park_predicate done);
-  static constexpr int kBackoffAfter = 2;
   static constexpr int kMaxBackoffLevel = 7;  // 2us << 7 = 256us cap input
 
   // How a steal round ended: work was stolen and run, every probe missed,
@@ -210,9 +213,9 @@ class worker {
   clockid_t cpu_clock_{};
   bool has_cpu_clock_ = false;
 
-  // Steal-backoff state (owner thread only).
-  int backoff_streak_ = 0;  // consecutive cancelled idle parks
-  int backoff_level_ = 0;   // current exponent of the nap length
+  // Steal-backoff state (owner thread only): the current exponent of the
+  // nap length.
+  int backoff_level_ = 0;
 };
 
 }  // namespace hls::rt

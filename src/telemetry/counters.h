@@ -51,8 +51,10 @@
                     "stalled-owner rescue")                               \
   X(earmarks_rescued, "earmarked partitions claimed by a rescue sweep "  \
                       "instead of their designated owner")                \
-  X(steal_backoffs, "bounded exponential-backoff naps taken after "      \
-                    "repeated failed steal/range-probe rounds")           \
+  X(steal_backoffs, "on-CPU backoff naps: work was visible but this "   \
+                    "worker could get none (another owner's static "     \
+                    "block, a drained queue, an unsplittable span)")      \
+  X(idle_spin_ns, "time spent in on-CPU backoff naps (yield loops), ns") \
   X(degraded_workers, "workers lost to thread-spawn failure at runtime " \
                       "construction (team shrank)")                       \
   X(alloc_fallbacks, "spans run as serial chunks because every range "   \

@@ -72,13 +72,12 @@ const model_spec kSpecs[] = {
     {"parking-fanout-broken-merge",
      "parking fan-out with unpark_n re-bumping a pending slot (merged wake)",
      true, 3},
-    {"parking-backoff",
-     "backoff_park nap: done-only re-check + retire broadcast, no lost "
+    {"parking-join",
+     "work_until join: idle_park re-check + retire broadcast, no lost "
      "completion edge",
      false, 3},
-    {"parking-backoff-broken-nobroadcast",
-     "backoff nap with the retire unpark_all omitted (sleeps past "
-     "completion)",
+    {"parking-join-broken-nobroadcast",
+     "join with the retire unpark_all omitted (sleeps past completion)",
      true, 3},
     {"handoff",
      "push-based handoff: deposit/unpark_at vs consume/poach/reclaim, "
@@ -117,9 +116,9 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
     return hls::verify::make_parking_fanout_model(false);
   if (name == "parking-fanout-broken-merge")
     return hls::verify::make_parking_fanout_model(true);
-  if (name == "parking-backoff") return hls::verify::make_backoff_model(false);
-  if (name == "parking-backoff-broken-nobroadcast")
-    return hls::verify::make_backoff_model(true);
+  if (name == "parking-join") return hls::verify::make_join_model(false);
+  if (name == "parking-join-broken-nobroadcast")
+    return hls::verify::make_join_model(true);
   if (name == "handoff") return hls::verify::make_handoff_model(false);
   if (name == "handoff-broken-dropped")
     return hls::verify::make_handoff_model(true);

@@ -31,7 +31,10 @@
 //                wake). The fan-out case adds that one unpark_n(k) reaches
 //                k distinct waiters and that every wake it counts is
 //                received; merging a wake into a pending slot is caught
-//                as a wake no waiter received.
+//                as a wake no waiter received. The join case adds that a
+//                work_until joiner parked with no visible work is woken
+//                by the retire broadcast alone; without it, caught as a
+//                deadlock.
 #pragma once
 
 #include <cstdint>
@@ -92,12 +95,13 @@ std::unique_ptr<model> make_parking_model(bool broken_skip_recheck);
 // reported sent that no waiter received).
 std::unique_ptr<model> make_parking_fanout_model(bool broken_merge_pending);
 
-// Steal-backoff nap over parking_lot_core (runtime::backoff_park): the
-// consumer re-checks only the completion edge after prepare_park, and
-// liveness comes from the retire-time unpark_all broadcast.
-// broken_no_broadcast omits that broadcast, leaving the nap to lean on
+// The join edge of work_until over parking_lot_core: a team member
+// publishes the loop's last range and races the joiner for it, and
+// whoever runs it retires with unpark_all; the joiner parks through
+// idle_park's `work visible || done` re-check. broken_no_broadcast omits
+// the broadcast, leaving a joiner parked with no visible work to lean on
 // the (harness-disabled) backstop timeout — caught as a deadlock.
-std::unique_ptr<model> make_backoff_model(bool broken_no_broadcast);
+std::unique_ptr<model> make_join_model(bool broken_no_broadcast);
 
 // Push-based work handoff: donor deposit/publish + targeted unpark_at vs
 // the owner's consume, a thief's poach, and the donor's failed-wake

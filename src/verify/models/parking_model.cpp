@@ -88,39 +88,37 @@ class parking_model final : public model {
   std::unique_ptr<state> st_;
 };
 
-// Verification model for the steal-backoff nap (runtime::backoff_park):
-// a thief that keeps losing work races naps with a DELIBERATELY weaker
-// protocol than idle_park — after prepare_park it re-checks only the
-// completion edge (done), NOT work visibility, before parking. That is
-// sound because the backoff nap's job is to damp spinning, not to
-// guarantee prompt work pickup: a work wake lost while napping costs at
-// most one bounded timeout. What must NOT be lossy is the completion
-// edge, or work_until would sleep past loop retirement. The liveness
-// argument is the retire broadcast: whoever completes the loop sets done
-// and then unparks ALL waiters, and because the consumer re-checks done
-// after announcing itself (prepare_park), either it sees done and cancels
-// or the broadcast finds it announced. The harness's untimed condvars
-// make this sharp — a protocol leaning on the backstop timeout deadlocks
-// here instead. The broken variant omits the post-done broadcast, and
-// the interleaving where the consumer parks just before done is set then
-// sleeps forever is reported as a deadlock.
-class backoff_model final : public model {
+// Verification model for the join edge of work_until: a joiner (the
+// poster waiting on its loop's finished()) parked with no work visible is
+// woken by one path alone, the retire broadcast. A team member publishes
+// the loop's last range and races the joiner for it; whoever runs it
+// retires the loop: the done edge, then unpark_all (loop_ctx::retire's
+// notify_all). The publish sends no wake the joiner can rely on. The
+// joiner runs idle_park's protocol: take visible work, otherwise announce
+// (prepare_park) and re-check `work visible || done` before parking. A
+// retire before the announcement is seen by the re-check; one after it
+// finds the waiter. Under the harness's untimed condvars a join that
+// leans on the backstop timeout deadlocks. The broken variant omits the
+// broadcast: the interleaving where the member claims the range, the
+// joiner parks, and the member then retires leaves the joiner asleep past
+// completion, reported as a deadlock.
+class join_model final : public model {
   using lot_t = rt::parking_lot_core<verify_traits>;
 
   struct state {
     lot_t lot{1};
-    hls::verify::atomic<std::uint32_t> items{0};
+    hls::verify::atomic<std::uint32_t> published{0};
+    hls::verify::atomic<std::uint32_t> claimed{0};
     hls::verify::atomic<std::uint32_t> done{0};
-    std::uint32_t taken = 0;
-    bool consumer_done = false;
+    std::uint32_t runs = 0;
+    bool joiner_done = false;
   };
 
  public:
-  explicit backoff_model(bool no_broadcast) : no_broadcast_(no_broadcast) {}
+  explicit join_model(bool no_broadcast) : no_broadcast_(no_broadcast) {}
 
   const char* name() const override {
-    return no_broadcast_ ? "parking-backoff-broken-nobroadcast"
-                         : "parking-backoff";
+    return no_broadcast_ ? "parking-join-broken-nobroadcast" : "parking-join";
   }
   int threads() const override { return 2; }
 
@@ -129,45 +127,60 @@ class backoff_model final : public model {
   void run(int t) override {
     state& s = *st_;
     if (t == 1) {
-      // The rest of the team: publish work with its (targeted, losable)
-      // wake, then retire the loop — done edge plus the broadcast every
-      // completion path must send (notify_all in the real runtime).
-      s.items.fetch_add(1, std::memory_order_seq_cst);
-      s.lot.unpark_one();
-      s.done.store(1, std::memory_order_seq_cst);
-      if (!no_broadcast_) s.lot.unpark_all();
+      // The team member holding the last range.
+      s.published.store(1, std::memory_order_seq_cst);
+      if (take(s)) retire(s);
       return;
     }
 
-    // Consumer (slot 0): a thief on the backoff ladder. Each round it
-    // tries to acquire work; on failure it naps via the backoff protocol.
+    // Joiner (slot 0): work_until(finished) over the idle path.
     while (s.done.load(std::memory_order_seq_cst) == 0) {
-      if (s.items.load(std::memory_order_seq_cst) > s.taken) {
-        ++s.taken;
+      if (take(s)) {
+        retire(s);
         continue;
       }
       const std::uint32_t ticket = s.lot.prepare_park(0);
-      // backoff_park's re-check: completion edge only, never work
-      // visibility (see runtime.h).
-      if (s.done.load(std::memory_order_seq_cst) != 0) {
+      // idle_park's re-check: visible work or the completion predicate.
+      if (visible(s) || s.done.load(std::memory_order_seq_cst) != 0) {
         s.lot.cancel_park(0);
-        break;
+        continue;
       }
       const auto res = s.lot.park(0, ticket, std::chrono::milliseconds(1));
       check(res.reason != lot_t::wake_reason::timeout,
-            "backoff nap resolved to a backstop timeout under the harness "
-            "(the completion broadcast is missing)");
+            "join park resolved to a backstop timeout under the harness (the "
+            "completion broadcast is missing)");
     }
-    s.consumer_done = true;
+    s.joiner_done = true;
   }
 
   void check_final() override {
-    check(st_->consumer_done, "consumer did not finish");
-    check(st_->taken <= 1, "item consumed more than once");
+    check(st_->joiner_done, "joiner did not finish");
+    check(st_->runs == 1, "last range not run exactly once");
     check(st_->lot.waiters() == 0, "waiter count leaked");
   }
 
  private:
+  static bool visible(state& s) {
+    return s.published.load(std::memory_order_seq_cst) != 0 &&
+           s.claimed.load(std::memory_order_seq_cst) == 0;
+  }
+
+  static bool take(state& s) {
+    std::uint32_t expect = 0;
+    if (s.published.load(std::memory_order_seq_cst) == 0 ||
+        !s.claimed.compare_exchange_strong(expect, 1,
+                                           std::memory_order_seq_cst)) {
+      return false;
+    }
+    ++s.runs;
+    return true;
+  }
+
+  void retire(state& s) const {
+    s.done.store(1, std::memory_order_seq_cst);
+    if (!no_broadcast_) s.lot.unpark_all();
+  }
+
   bool no_broadcast_;
   std::unique_ptr<state> st_;
 };
@@ -300,8 +313,8 @@ std::unique_ptr<model> make_parking_model(bool broken_skip_recheck) {
   return std::make_unique<parking_model>(broken_skip_recheck);
 }
 
-std::unique_ptr<model> make_backoff_model(bool broken_no_broadcast) {
-  return std::make_unique<backoff_model>(broken_no_broadcast);
+std::unique_ptr<model> make_join_model(bool broken_no_broadcast) {
+  return std::make_unique<join_model>(broken_no_broadcast);
 }
 
 }  // namespace hls::verify

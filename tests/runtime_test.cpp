@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "runtime/task.h"
+#include "sched/loop.h"
 #include "util/rng.h"
 
 namespace hls::rt {
@@ -213,6 +216,41 @@ TEST(Runtime, SequentialRuntimesDoNotInterfere) {
     w.work_until([&] { return count.load() == 50; });
     EXPECT_EQ(count.load(), 50);
   }
+}
+
+// Regression (steal backoff): a worker that has run its static block
+// while the loop is still open waits on its CPU for the next post. It used
+// to back off in timed parks, announced in the parking lot, so its arrival
+// at the next loop waited for a futex wake. The three peer blocks only
+// count themselves done; block 0 then holds the loop open for 20 ms and
+// samples the parking lot every 100 µs.
+TEST(RuntimeIdle, PeersWaitingOnAnOpenLoopStayOutOfTheParkingLot) {
+  using namespace std::chrono_literals;
+  constexpr std::uint32_t kWorkers = 4;
+  runtime rt(kWorkers);
+  std::atomic<std::uint32_t> peers_done{0};
+  int samples = 0;
+  int announced = 0;
+  parallel_for(rt, 0, kWorkers, policy::static_part,
+               [&](std::int64_t lo, std::int64_t) {
+                 if (lo != 0) {
+                   peers_done.fetch_add(1);
+                   return;
+                 }
+                 while (peers_done.load() != kWorkers - 1) {
+                   std::this_thread::yield();
+                 }
+                 const auto end = std::chrono::steady_clock::now() + 20ms;
+                 while (std::chrono::steady_clock::now() < end) {
+                   ++samples;
+                   if (rt.parking().waiters() != 0) ++announced;
+                   std::this_thread::sleep_for(100us);
+                 }
+               });
+  EXPECT_GT(samples, 0);
+  EXPECT_EQ(announced, 0) << announced << " of " << samples
+                          << " samples found a peer announced in the "
+                             "parking lot while the loop was open";
 }
 
 }  // namespace

@@ -106,11 +106,11 @@ TEST(VerifyParkingFanout, EveryDeliveredWakeReachesAWaiterExhaustiveBound2) {
   EXPECT_GT(res.executions, 1000u);
 }
 
-TEST(VerifyParkingBackoff, CompletionEdgeNeverLostExhaustiveBound3) {
-  // The steal-backoff nap re-checks only the completion edge after
-  // announcing itself; liveness must come from the retire broadcast, not
-  // the (harness-disabled) backstop timeout.
-  auto m = make_backoff_model(false);
+TEST(VerifyParkingJoin, CompletionEdgeNeverLostExhaustiveBound3) {
+  // A work_until joiner parked with no visible work is woken by the retire
+  // broadcast alone; with idle_park's predicate re-check the edge is never
+  // lost, without leaning on the (harness-disabled) backstop timeout.
+  auto m = make_join_model(false);
   const auto res = explore(*m, exhaustive(3));
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_TRUE(res.exhausted);
@@ -207,13 +207,15 @@ TEST(VerifyBroken, ParkingFanoutMergedWakeIsCaught) {
       << res.failure;
 }
 
-TEST(VerifyBroken, BackoffWithoutRetireBroadcastIsCaught) {
+TEST(VerifyBroken, JoinWithoutRetireBroadcastIsCaught) {
   // Omitting the unpark_all after the done edge leaves the interleaving
-  // where the consumer announced and parked just before done was set with
-  // no wake at all — the nap would lean on the real-time backstop, which
+  // where the joiner announced and parked just before done was set with
+  // no wake at all — the join would lean on the real-time backstop, which
   // the harness models as a deadlock.
-  expect_caught_and_replayable(make_backoff_model(true),
-                               make_backoff_model(true), 3);
+  expect_caught_and_replayable(make_join_model(true), make_join_model(true),
+                               3);
+  const auto res = explore(*make_join_model(true), exhaustive(3));
+  EXPECT_NE(res.failure.find("deadlock"), std::string::npos) << res.failure;
 }
 
 TEST(VerifyBroken, HandoffDroppedWithoutRescueIsCaught) {
