@@ -157,6 +157,19 @@ echo "== huge-N smoke (bounded address space)"
 # next to the primitives archive for cross-run comparison.
 build/bench/fig1_micro --json > build/BENCH_fig1_micro.json
 python3 -m json.tool --json-lines build/BENCH_fig1_micro.json > /dev/null
+# The fig1 archive is simulator output, deterministic to the byte, so it
+# must equal its baseline exactly: the perf gate below would pass any drift
+# that lowers no speedup by more than 15 %.
+echo "== fig1 DES baseline (exact)"
+if ! cmp build/BENCH_fig1_micro.json bench/baseline/BENCH_fig1_micro.json; then
+  echo "fig1_micro --json no longer matches bench/baseline/BENCH_fig1_micro.json:"
+  echo "the simulator's output moved. If the move is intended, re-record with"
+  echo "  HLS_PERF_BASELINE_UPDATE=1 python3 scripts/perf_gate.py \\"
+  echo "    --current build/BENCH_fig1_micro.json \\"
+  echo "    --baseline bench/baseline/BENCH_fig1_micro.json --format fig1"
+  echo "and list each moved row in CHANGES.md."
+  exit 1
+fi
 
 # DES handoff-vs-probe smoke (docs/runtime.md "Push-based handoff"): the
 # deterministic simulator A/Bs the push and pull wake models on a

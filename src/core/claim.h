@@ -9,10 +9,12 @@
 //   * failed claim, i==0 -> leave the loop immediately (Alg. 3 line 14)
 //   * failed claim, i>0  -> i <- i + (i & -i)   (skip the claimed subtree)
 //
-// The logic is expressed over an abstract flag set so that the exact same
-// code drives the threaded runtime (atomic flags), the discrete-event
-// simulator (plain flags), and the exhaustive correctness tests (scripted
-// adversarial flag states). This file is the paper's core contribution.
+// The walk is one resumable cursor (claim_cursor). run_claim_loop drives it
+// over an abstract flag set, so the same code runs in the threaded runtime
+// (atomic flags), the model checker and the exhaustive correctness tests
+// (scripted adversarial flag states); the discrete-event simulator steps
+// the cursor itself, one claim at a time, over a partition_set. This file
+// is the paper's core contribution.
 #pragma once
 
 #include <concepts>
@@ -49,6 +51,42 @@ constexpr std::uint64_t advance_on_failure(std::uint64_t i) noexcept {
   return i + lsb(i);
 }
 
+// Worker w's walk of its claim sequence, one claim at a time: the caller
+// claims target() and reports the outcome with won() or lost(). w wraps
+// modulo R, so with fewer partitions than workers several workers share a
+// designated partition. R must be a power of two.
+class claim_cursor {
+ public:
+  claim_cursor() = default;
+  claim_cursor(std::uint32_t w, std::uint64_t R) noexcept
+      : w_(static_cast<std::uint32_t>(w & (R - 1))), r_(R) {}
+
+  bool done() const noexcept { return i_ >= r_; }
+  std::uint64_t index() const noexcept { return i_; }
+  // The partition to claim next; at index 0 the designated partition.
+  std::uint64_t target() const noexcept { return claim_target(i_, w_); }
+
+  // The claim on target() succeeded.
+  void won() noexcept { i_ += 1; }
+
+  // The claim on target() failed: skip the claimed subtree. Returns false,
+  // and ends the walk, when it was the designated partition (Alg. 3
+  // line 14: the worker reverts to ordinary work stealing).
+  bool lost() noexcept {
+    if (i_ == 0) {
+      i_ = r_;
+      return false;
+    }
+    i_ = advance_on_failure(i_);
+    return true;
+  }
+
+ private:
+  std::uint32_t w_ = 0;
+  std::uint64_t r_ = 0;
+  std::uint64_t i_ = 0;
+};
+
 // Observes individual claim attempts: observe(partition, index, success)
 // is invoked for every test_and_set, successful or not. The default
 // observer is an empty callable that compiles away; the threaded runtime
@@ -60,7 +98,7 @@ struct null_claim_observer {
 };
 
 // Runs the claim loop of DoHybridLoop (Algorithm 3) for worker w over R
-// partitions. R must be a power of two and w < R. For every successful
+// partitions: walks claim_cursor(w, R) to its end. For every successful
 // claim, invokes on_claim(partition, index); the callback runs the
 // partition's iterations before the next claim is attempted, exactly as the
 // paper's continuation-stealing execution does.
@@ -70,34 +108,20 @@ claim_stats run_claim_loop(std::uint32_t w, std::uint64_t R, Flags& flags,
                            OnClaim&& on_claim, Observer&& observe = {}) {
   claim_stats st;
   std::uint64_t consec = 0;
-  std::uint64_t i = 0;
-
-  // First claim: the worker's designated partition r = 0 XOR w = w.
-  if (flags.test_and_set(claim_target(i, w))) {
-    observe(claim_target(i, w), i, false);
-    st.failures = 1;
-    st.max_consec_failures = 1;
-    st.exited_on_first = true;
-    return st;  // Alg. 3 line 14: revert to ordinary work stealing.
-  }
-  observe(claim_target(i, w), i, true);
-  ++st.successes;
-  on_claim(claim_target(i, w), i);
-  i += 1;
-
-  while (i < R) {
-    if (!flags.test_and_set(claim_target(i, w))) {
-      observe(claim_target(i, w), i, true);
+  for (claim_cursor c(w, R); !c.done();) {
+    const std::uint64_t r = c.target();
+    const std::uint64_t i = c.index();
+    if (!flags.test_and_set(r)) {
+      observe(r, i, true);
       ++st.successes;
       consec = 0;
-      on_claim(claim_target(i, w), i);
-      i += 1;
+      on_claim(r, i);
+      c.won();
     } else {
-      observe(claim_target(i, w), i, false);
+      observe(r, i, false);
       ++st.failures;
-      ++consec;
-      if (consec > st.max_consec_failures) st.max_consec_failures = consec;
-      i = advance_on_failure(i);
+      if (++consec > st.max_consec_failures) st.max_consec_failures = consec;
+      st.exited_on_first = !c.lost();
     }
   }
   return st;

@@ -11,9 +11,7 @@ partition_set::partition_set(std::int64_t begin, std::int64_t end,
     : begin_(begin),
       end_(end < begin ? begin : end),
       r_(next_pow2(num_partitions == 0 ? 1 : num_partitions)),
-      lg_r_(ilog2(r_)),
-      base_size_((end_ - begin_) / static_cast<std::int64_t>(r_)),
-      remainder_((end_ - begin_) % static_cast<std::int64_t>(r_)) {
+      lg_r_(ilog2(r_)) {
   if (r_ >= kBitmapThreshold) {
     words_.reset(new padded<std::atomic<std::uint64_t>>[block_count()]);
     for (std::uint64_t b = 0; b < block_count(); ++b) {
@@ -38,12 +36,7 @@ iter_range partition_set::range(std::uint64_t r) const noexcept {
   if (!weighted_bounds_.empty()) {
     return {weighted_bounds_[r], weighted_bounds_[r + 1]};
   }
-  const auto ri = static_cast<std::int64_t>(r);
-  // Partitions [0, remainder) carry base_size_+1 iterations.
-  const std::int64_t extra = ri < remainder_ ? ri : remainder_;
-  const std::int64_t lo = begin_ + ri * base_size_ + extra;
-  const std::int64_t len = base_size_ + (ri < remainder_ ? 1 : 0);
-  return {lo, lo + len};
+  return balanced_range(begin_, end_, r_, r);
 }
 
 bool partition_set::try_claim(std::uint64_t r) noexcept {

@@ -22,6 +22,7 @@
 // Plus the arithmetic that maps partitions to iteration sub-ranges.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -39,6 +40,23 @@ struct iter_range {
   std::int64_t size() const noexcept { return end - begin; }
   bool empty() const noexcept { return begin >= end; }
 };
+
+// Piece k of [begin, end) split into `pieces` balanced pieces: the first
+// (end - begin) mod pieces pieces carry one extra iteration. The split of
+// static blocks and of unweighted partitions, in the runtime and the
+// simulator alike. The remainder compare stays in int64: a 32-bit compare
+// truncates for N > 2^32 and mis-sizes the boundary pieces (the
+// N = 2^32 + 3 case in huge_n_test.cpp).
+constexpr iter_range balanced_range(std::int64_t begin, std::int64_t end,
+                                    std::uint64_t pieces,
+                                    std::uint64_t k) noexcept {
+  const auto p = static_cast<std::int64_t>(pieces);
+  const auto ki = static_cast<std::int64_t>(k);
+  const std::int64_t base = (end - begin) / p;
+  const std::int64_t rem = (end - begin) % p;
+  const std::int64_t lo = begin + ki * base + std::min(ki, rem);
+  return {lo, lo + base + (ki < rem ? 1 : 0)};
+}
 
 class partition_set {
  public:
@@ -68,8 +86,8 @@ class partition_set {
   std::int64_t begin() const noexcept { return begin_; }
   std::int64_t end() const noexcept { return end_; }
 
-  // Iteration sub-range of partition r (balanced split: the first
-  // (end-begin) mod R partitions get one extra iteration).
+  // Iteration sub-range of partition r: the weighted boundaries, or
+  // balanced_range's piece r of R.
   iter_range range(std::uint64_t r) const noexcept;
 
   // Atomically claims partition r; returns true if this call won the claim
@@ -124,8 +142,6 @@ class partition_set {
   std::int64_t end_;
   std::uint64_t r_;
   std::uint64_t lg_r_;
-  std::int64_t base_size_;   // floor((end-begin)/R)
-  std::int64_t remainder_;   // (end-begin) mod R
   std::vector<std::int64_t> weighted_bounds_;  // R+1 entries when weighted
   // Exactly one of these is non-null: per-partition padded flags (small
   // R) or the packed bitmap (R >= kBitmapThreshold).

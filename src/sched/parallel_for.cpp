@@ -175,131 +175,109 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
                          static_cast<std::uint64_t>(opt.deadline.count());
   }
 
-  const auto result_of = [&ctx]() -> loop_result {
-    loop_result res;
-    switch (ctx.stop.load(std::memory_order_acquire)) {
-      case sched::loop_ctx::kCancelled:
-        res.status = loop_status::cancelled;
-        break;
-      case sched::loop_ctx::kDeadline:
-        res.status = loop_status::deadline_expired;
-        break;
-      default:
-        break;
-    }
-    res.skipped = ctx.skipped.load(std::memory_order_acquire);
-    return res;
-  };
-
+  std::uint32_t eff_parts = 0;  // effective R; stays 0 for non-hybrid
+  // The policy record, in this frame like ctx. Declared after ctx, so it
+  // is destroyed first.
+  std::variant<std::monostate, sched::static_record, sched::queue_record,
+               sched::hybrid_record>
+      records;
+  int slot = -1;  // the record's board slot; -1 when nothing was posted
   if (pol == policy::serial) {
     // Serial with a cancel token or deadline: chunked through run_range so
     // stop polling, skip accounting, and counters behave like the parallel
     // policies.
     probe.setup_done();
     ctx.run_range(me, begin, end);
-    probe.work_done();
-    ctx.rethrow_if_failed();
-    const loop_result res = result_of();
-    probe.commit(opt.site, pol, 0, grain, n,
-                 static_cast<std::uint8_t>(res.status), res.skipped,
-                 telemetry::degrade_reason::none);
-    return res;
-  }
-
-  if (pol == policy::dynamic_ws) {
+  } else if (pol == policy::dynamic_ws) {
     // Vanilla cilk_for, lazily split: the caller publishes the span in its
     // next free range slot and consumes it chunk by chunk; idle workers
     // join by stealing the upper half off the slot.
     probe.setup_done();
     sched::range_span::run(me, &ctx, begin, end);
-    probe.work_done();
-    me.work_until([&] { return ctx.finished(); });
-    ctx.rethrow_if_failed();
-    const loop_result res = result_of();
-    probe.commit(opt.site, pol, 0, grain, n,
-                 static_cast<std::uint8_t>(res.status), res.skipped,
-                 telemetry::degrade_reason::none);
-    return res;
-  }
-
-  std::uint32_t eff_parts = 0;  // effective R; stays 0 for non-hybrid
-  // The policy record, in this frame like ctx. Declared after ctx, so it
-  // is destroyed first.
-  std::variant<std::monostate, sched::static_record,
-               sched::shared_queue_record, sched::guided_record,
-               sched::hybrid_record>
-      records;
-  rt::loop_record* rec = nullptr;
-  // Units of work the record can hand out at once, capped at P below: the
-  // board post wakes that many workers minus the poster, so every worker
-  // the loop can use arrives at once (PAPER.md §1, steps 1-2) instead of
-  // one per wake with the rest sleeping out the park backstop. A static
-  // block runs only on its owner and the wake is not targeted, so static
-  // wakes the whole team.
-  std::int64_t units = p;
-  if (pol == policy::static_part) {
-    rec = &records.emplace<sched::static_record>(ctx, p);
-  } else if (pol == policy::dynamic_shared) {
-    const std::int64_t chunk =
-        opt.chunk > 0 ? opt.chunk : default_grain(n, p);
-    units = (n - 1) / chunk + 1;
-    rec = &records.emplace<sched::shared_queue_record>(ctx, chunk);
-  } else if (pol == policy::guided) {
-    units = (n - 1) / opt.min_chunk + 1;
-    rec = &records.emplace<sched::guided_record>(ctx, opt.min_chunk, p);
   } else {
-    const std::uint32_t parts = opt.partitions > 0 ? opt.partitions : p;
-    eff_parts = parts;
-    units = std::min<std::int64_t>(parts, n);
-    if (opt.iteration_weight) {
-      rec = &records.emplace<sched::hybrid_record>(ctx, parts,
-                                                   opt.iteration_weight);
+    rt::loop_record* rec = nullptr;
+    // Units of work the record can hand out at once, capped at P below:
+    // the board post wakes that many workers minus the poster, so every
+    // worker the loop can use arrives at once (PAPER.md §1, steps 1-2)
+    // instead of one per wake with the rest sleeping out the park
+    // backstop. A static block runs only on its owner and the wake is not
+    // targeted, so static wakes the whole team.
+    std::int64_t units = p;
+    if (pol == policy::static_part) {
+      rec = &records.emplace<sched::static_record>(ctx, p);
+    } else if (pol == policy::dynamic_shared || pol == policy::guided) {
+      // Chunk 0 selects guided's decreasing chunks.
+      const std::int64_t chunk = pol == policy::guided ? 0
+                                 : opt.chunk > 0   ? opt.chunk
+                                                   : default_grain(n, p);
+      units = (n - 1) / (chunk > 0 ? chunk : opt.min_chunk) + 1;
+      rec = &records.emplace<sched::queue_record>(ctx, chunk, opt.min_chunk,
+                                                  p);
     } else {
-      rec = &records.emplace<sched::hybrid_record>(ctx, parts);
-    }
-  }
-
-  int slot;
-  if (faultsim::injector* chaos = rt.chaos();
-      chaos != nullptr && chaos->fire(faultsim::hook::board_post, me.id())) {
-    // Forced board overflow: exercises the same degraded path a full board
-    // takes, without needing kSlots concurrent loops.
-    telemetry::bump(me.tel().counters.faults_injected);
-    slot = -1;
-  } else {
-    slot = rt.loop_board().post(rec);
-  }
-  // An unposted record is invisible to peers, so it wakes nobody.
-  if (slot >= 0) {
-    const auto team =
-        static_cast<std::uint32_t>(std::min<std::int64_t>(units, p));
-    rt.notify_work(team - 1);
-  }
-  probe.setup_done();
-  if (slot < 0 && pol == policy::static_part) {
-    // Board overflow: strict static needs every worker to arrive, which
-    // cannot be guaranteed without a slot. Degrade to executing the
-    // whole range on the posting worker (correctness over placement).
-    ctx.run_chunk(me, begin, end);
-  } else if (slot < 0) {
-    // No slot means no other worker can discover this record, so the
-    // posting worker must drive it to completion itself. One participate()
-    // call is not enough: under chaos a forced peek failure can make it
-    // return without doing anything, so loop until the record drains
-    // (try_progress keeps ranges stolen from hybrid partitions moving).
-    while (!ctx.finished()) {
-      if (!rec->participate(me) && !me.try_progress()) {
-        std::this_thread::yield();
+      const std::uint32_t parts = opt.partitions > 0 ? opt.partitions : p;
+      eff_parts = parts;
+      units = std::min<std::int64_t>(parts, n);
+      if (opt.iteration_weight) {
+        rec = &records.emplace<sched::hybrid_record>(ctx, parts,
+                                                     opt.iteration_weight);
+      } else {
+        rec = &records.emplace<sched::hybrid_record>(ctx, parts);
       }
     }
-  } else {
-    rec->participate(me);
+
+    if (faultsim::injector* chaos = rt.chaos();
+        chaos != nullptr &&
+        chaos->fire(faultsim::hook::board_post, me.id())) {
+      // Forced board overflow: exercises the same degraded path a full
+      // board takes, without needing kSlots concurrent loops.
+      telemetry::bump(me.tel().counters.faults_injected);
+    } else {
+      slot = rt.loop_board().post(rec);
+    }
+    // An unposted record is invisible to peers, so it wakes nobody.
+    if (slot >= 0) {
+      const auto team =
+          static_cast<std::uint32_t>(std::min<std::int64_t>(units, p));
+      rt.notify_work(team - 1);
+    }
+    probe.setup_done();
+    if (slot < 0 && pol == policy::static_part) {
+      // Board overflow: strict static needs every worker to arrive, which
+      // cannot be guaranteed without a slot. Degrade to executing the
+      // whole range on the posting worker (correctness over placement).
+      ctx.run_chunk(me, begin, end);
+    } else if (slot < 0) {
+      // No slot means no other worker can discover this record, so the
+      // posting worker must drive it to completion itself. One
+      // participate() call is not enough: under chaos a forced peek
+      // failure can make it return without doing anything, so loop until
+      // the record drains (try_progress keeps ranges stolen from hybrid
+      // partitions moving).
+      while (!ctx.finished()) {
+        if (!rec->participate(me) && !me.try_progress()) {
+          std::this_thread::yield();
+        }
+      }
+    } else {
+      rec->participate(me);
+    }
   }
   probe.work_done();
   me.work_until([&] { return ctx.finished(); });
   rt.loop_board().clear(slot);
   ctx.rethrow_if_failed();
-  const loop_result res = result_of();
+  loop_result res;
+  switch (ctx.stop.load(std::memory_order_acquire)) {
+    case sched::loop_ctx::kCancelled:
+      res.status = loop_status::cancelled;
+      break;
+    case sched::loop_ctx::kDeadline:
+      res.status = loop_status::deadline_expired;
+      break;
+    default:
+      break;
+  }
+  res.skipped = ctx.skipped.load(std::memory_order_acquire);
   probe.commit(opt.site, pol, eff_parts, grain, n,
                static_cast<std::uint8_t>(res.status), res.skipped,
                telemetry::degrade_reason::none);

@@ -224,106 +224,40 @@ bool static_record::participate(rt::worker& w) {
   if (taken_[b].value.exchange(1, std::memory_order_acq_rel) != 0) {
     return false;
   }
-  // Balanced block split, identical to the hybrid partitioning arithmetic.
-  const std::int64_t n = ctx_.end - ctx_.begin;
-  const std::int64_t base = n / blocks_;
-  const std::int64_t rem = n % blocks_;
-  const std::int64_t extra = std::min<std::int64_t>(b, rem);
-  const std::int64_t lo = ctx_.begin + static_cast<std::int64_t>(b) * base + extra;
-  // The comparison must stay in int64: casting rem to uint32 truncates for
-  // N > 2^32 and mis-sizes the boundary blocks (the N = 2^32 + 3 case in
-  // huge_n_test.cpp).
-  const std::int64_t hi =
-      lo + base + (static_cast<std::int64_t>(b) < rem ? 1 : 0);
-  ctx_.run_chunk(w, lo, hi);
+  const core::iter_range rg =
+      core::balanced_range(ctx_.begin, ctx_.end, blocks_, b);
+  ctx_.run_chunk(w, rg.begin, rg.end);
   return true;
 }
 
-// --------------------------------------------------------- dynamic_shared
+// ------------------------------------------------- dynamic_shared, guided
 
-shared_queue_record::shared_queue_record(loop_ctx& ctx, std::int64_t chunk)
-    : ctx_(ctx), chunk_(chunk < 1 ? 1 : chunk), next_(ctx_.begin) {}
-
-namespace {
-
-// Prompt stop for the central queues: on cancellation/deadline/failure,
-// swallow the whole tail in one exchange instead of skipping chunk by
-// chunk. The tail [lo, end) is disjoint from every chunk claimed before
-// the exchange, and later claimants observe lo >= end and leave, so each
-// iteration still retires exactly once. Returns the iterations swallowed,
-// which the caller retires with the rest of its visit.
-std::int64_t swallow_tail(rt::worker& w, loop_ctx& ctx,
-                          std::atomic<std::int64_t>& next) {
-  const std::int64_t lo = next.exchange(ctx.end, std::memory_order_acq_rel);
-  if (lo >= ctx.end) return 0;
-  ctx.skipped.fetch_add(ctx.end - lo, std::memory_order_relaxed);
-  telemetry::bump(w.tel().counters.cancelled_chunks);
-  return ctx.end - lo;
-}
-
-}  // namespace
-
-bool shared_queue_record::participate(rt::worker& w) {
+bool queue_record::participate(rt::worker& w) {
   bool worked = false;
   std::int64_t held = 0;  // run or swallowed, not yet retired
-  // Stay on the queue until it drains, like an OpenMP thread inside a
-  // `schedule(dynamic)` region. The fetch_add result alone decides when
-  // to leave: the old loop condition re-read next_ with a relaxed load,
-  // a racy pre-check that could only disagree with the claiming fetch_add
-  // below and added nothing the claim does not already validate.
+  // Stay on the queue until it drains or the loop stops, like an OpenMP
+  // thread inside a `schedule(dynamic)` region.
   for (;;) {
     if (ctx_.failed.load(std::memory_order_acquire) ||
         ctx_.stop_requested(w)) {
-      held += swallow_tail(w, ctx_, next_);
+      // Prompt stop: swallow the whole tail at once instead of skipping it
+      // chunk by chunk.
+      const core::iter_range rest = queue_.take_rest();
+      if (!rest.empty()) {
+        ctx_.skipped.fetch_add(rest.size(), std::memory_order_relaxed);
+        telemetry::bump(w.tel().counters.cancelled_chunks);
+        held += rest.size();
+      }
       break;
     }
-    const std::int64_t lo = next_.fetch_add(chunk_, std::memory_order_acq_rel);
-    if (lo >= ctx_.end) break;
-    const std::int64_t hi = std::min(lo + chunk_, ctx_.end);
-    ctx_.run_body(w, lo, hi);
-    held += hi - lo;
+    const core::iter_range rg = queue_.take();
+    if (rg.empty()) break;
+    ctx_.run_body(w, rg.begin, rg.end);
+    held += rg.size();
     worked = true;
   }
   // One retire for the whole visit, after its last chunk: nobody waits on
   // these iterations but the join, which cannot come sooner anyway.
-  if (held > 0) ctx_.retire(w, held);
-  return worked;
-}
-
-// ----------------------------------------------------------------- guided
-
-guided_record::guided_record(loop_ctx& ctx, std::int64_t min_chunk,
-                             std::uint32_t num_workers)
-    : ctx_(ctx),
-      min_chunk_(min_chunk < 1 ? 1 : min_chunk),
-      p_(num_workers == 0 ? 1 : num_workers),
-      next_(ctx_.begin) {}
-
-bool guided_record::participate(rt::worker& w) {
-  bool worked = false;
-  std::int64_t held = 0;  // run or swallowed, not yet retired
-  for (;;) {
-    if (ctx_.failed.load(std::memory_order_acquire) ||
-        ctx_.stop_requested(w)) {
-      held += swallow_tail(w, ctx_, next_);
-      break;
-    }
-    std::int64_t lo = next_.load(std::memory_order_acquire);
-    std::int64_t hi = lo;
-    do {
-      if (lo >= ctx_.end) break;
-      const std::int64_t rem = ctx_.end - lo;
-      const std::int64_t sz =
-          std::max(min_chunk_, rem / (2 * static_cast<std::int64_t>(p_)));
-      hi = std::min(lo + sz, ctx_.end);
-    } while (!next_.compare_exchange_weak(lo, hi, std::memory_order_acq_rel,
-                                          std::memory_order_acquire));
-    if (lo >= ctx_.end) break;
-    ctx_.run_body(w, lo, hi);
-    held += hi - lo;
-    worked = true;
-  }
-  // Same single retire per visit as shared_queue_record.
   if (held > 0) ctx_.retire(w, held);
   return worked;
 }
@@ -423,9 +357,9 @@ bool hybrid_record::participate(rt::worker& w) {
   // its designated starting partition r = w XOR 0; if that partition is
   // claimed it reverts to ordinary randomized work stealing. When fewer
   // partitions than workers are requested, worker IDs wrap modulo R.
-  const std::uint32_t weff =
-      w.id() & static_cast<std::uint32_t>(parts_.count() - 1);
-  bool observed_claimed = parts_.is_claimed(core::claim_target(0, weff));
+  const std::uint64_t designated =
+      core::claim_cursor(w.id(), parts_.count()).target();
+  bool observed_claimed = parts_.is_claimed(designated);
   if (!observed_claimed && chaos != nullptr &&
       chaos->fire(faultsim::hook::claim_peek, w.id())) {
     telemetry::bump(tel.counters.faults_injected);
@@ -435,8 +369,7 @@ bool hybrid_record::participate(rt::worker& w) {
     // Observed-claimed designated partition: the Alg. 3 line 14 exit.
     telemetry::bump(tel.counters.claims_failed);
     if (tel.events_on()) {
-      tel.emit({tel.now(), 0,
-                static_cast<std::int64_t>(core::claim_target(0, weff)), 0,
+      tel.emit({tel.now(), 0, static_cast<std::int64_t>(designated), 0,
                 telemetry::event_kind::claim_fail});
     }
     // Under claim chaos or an armed rescue the "designated claimed => my
@@ -451,7 +384,7 @@ bool hybrid_record::participate(rt::worker& w) {
   chaos_claim_flags flags{inner, chaos, w.id(), &tel};
   const bool traced = tel.events_on();
   const core::claim_stats st = core::run_claim_loop(
-      weff, parts_.count(), flags,
+      w.id(), parts_.count(), flags,
       [&](std::uint64_t r, std::uint64_t /*index*/) {
         execute_partition(w, r);
       },

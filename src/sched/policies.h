@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 
+#include "core/chunk_queue.h"
 #include "core/partition_set.h"
 #include "runtime/board.h"
 #include "sched/loop.h"
@@ -184,35 +185,22 @@ class static_record final : public rt::loop_record {
   std::unique_ptr<padded<std::atomic<std::uint8_t>>[]> taken_;
 };
 
-// Central queue of fixed-size chunks (omp dynamic semantics). A worker
-// retires what it ran once, when it leaves the queue.
-class shared_queue_record final : public rt::loop_record {
+// Central queue (omp dynamic and guided semantics): an arriving worker
+// takes chunks off a core::chunk_queue until it drains, and retires what
+// it ran once, when it leaves the queue.
+class queue_record final : public rt::loop_record {
  public:
-  shared_queue_record(loop_ctx& ctx, std::int64_t chunk);
+  // chunk > 0: fixed chunks; chunk == 0: guided chunks of
+  // max(min_chunk, remaining / (2 P)).
+  queue_record(loop_ctx& ctx, std::int64_t chunk, std::int64_t min_chunk,
+               std::uint32_t num_workers)
+      : ctx_(ctx), queue_(ctx.begin, ctx.end, chunk, min_chunk, num_workers) {}
   bool participate(rt::worker& w) override;
   bool finished() const noexcept override { return ctx_.finished(); }
 
  private:
   loop_ctx& ctx_;
-  const std::int64_t chunk_;
-  alignas(kCacheLine) std::atomic<std::int64_t> next_;
-};
-
-// Central queue of decreasing chunks (omp guided semantics):
-// chunk = max(min_chunk, remaining / (2 P)). Retires like the shared
-// queue: once per participate() call.
-class guided_record final : public rt::loop_record {
- public:
-  guided_record(loop_ctx& ctx, std::int64_t min_chunk,
-                std::uint32_t num_workers);
-  bool participate(rt::worker& w) override;
-  bool finished() const noexcept override { return ctx_.finished(); }
-
- private:
-  loop_ctx& ctx_;
-  const std::int64_t min_chunk_;
-  const std::uint32_t p_;
-  alignas(kCacheLine) std::atomic<std::int64_t> next_;
+  core::chunk_queue queue_;
 };
 
 // The hybrid loop (paper Section III). participate() implements the

@@ -1,6 +1,7 @@
 // The loop-scheduling policies the paper evaluates. Shared by the threaded
 // runtime front-end (sched/loop.h) and the discrete-event simulator, which
-// implement identical scheduling logic over different substrates.
+// hand out a policy's blocks, chunks and claims through the same core/
+// code (balanced_range, chunk_queue, partition_set, claim_cursor).
 #pragma once
 
 #include <algorithm>

@@ -2,26 +2,26 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <queue>
 
+#include "core/chunk_queue.h"
 #include "core/claim.h"
-#include "core/weighted_split.h"
+#include "core/partition_set.h"
 #include "trace/affinity.h"
 #include "util/rng.h"
 
 namespace hls::sim {
 namespace {
 
-struct irange {
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  std::int64_t size() const noexcept { return hi - lo; }
-};
+using core::iter_range;
 
 // Simulates ONE parallel loop instance. Workers are state machines driven
 // by a (time, worker) min-heap; the policy decides each worker's next busy
-// interval. The locality model persists across instances (owned by the
-// caller), which is where affinity pays off.
+// interval, handing out blocks, chunks and claims through the runtime's
+// own core:: structures (single-threaded here, so their atomics step
+// deterministically). The locality model persists across instances (owned
+// by the caller), which is where affinity pays off.
 class loop_sim {
  public:
   loop_sim(const machine_desc& m, const loop_spec& ls, policy pol,
@@ -30,21 +30,25 @@ class loop_sim {
            double post_time, std::vector<std::uint32_t>* owners)
       : m_(m), ls_(ls), pol_(pol), loc_(loc), rng_(rng), out_(out), opt_(opt),
         flat_index_(flat_loop_index), post_(post_time), owners_(owners),
-        n_(ls.n), p_(m.workers == 0 ? 1 : m.workers) {
+        n_(ls.n), p_(m.workers == 0 ? 1 : m.workers),
+        grain_(ls.grain > 0 ? ls.grain : default_grain(n_, p_)),
+        // Chunk 0 selects guided's decreasing chunks.
+        queue_(0, n_,
+               pol == policy::guided ? 0
+               : ls.chunk > 0        ? ls.chunk
+                                     : default_grain(n_, p_),
+               ls.min_chunk, p_) {
     if (out_.busy_ns_per_worker.size() < p_) {
       out_.busy_ns_per_worker.resize(p_, 0.0);
     }
-    grain_ = ls.grain > 0 ? ls.grain : default_grain(n_, p_);
-    chunk_ = ls.chunk > 0 ? ls.chunk : default_grain(n_, p_);
-    min_chunk_ = ls.min_chunk > 0 ? ls.min_chunk : 1;
-    const std::uint32_t parts = ls.partitions > 0 ? ls.partitions : p_;
-    r_count_ = next_pow2(parts);
-    claimed_.assign(r_count_, 0);
-    if (pol == policy::hybrid && ls.iteration_weight) {
-      weighted_bounds_ =
-          core::weighted_boundaries(0, n_, r_count_, ls.iteration_weight);
+    if (pol == policy::hybrid) {
+      const std::uint32_t parts = ls.partitions > 0 ? ls.partitions : p_;
+      if (ls.iteration_weight) {
+        parts_.emplace(0, n_, parts, ls.iteration_weight);
+      } else {
+        parts_.emplace(0, n_, parts);
+      }
     }
-    taken_.assign(p_, 0);
     ws_.resize(p_);
   }
 
@@ -81,15 +85,15 @@ class loop_sim {
 
   struct wstate {
     wmode md = wmode::entering;
-    std::deque<irange> dq;  // back = bottom (owner side), front = top
-    std::uint64_t claim_i = 0;
+    std::deque<iter_range> dq;  // back = bottom (owner side), front = top
+    core::claim_cursor claim;  // hybrid: this worker's claim walk
     double idle_backoff = 0;
     // Push-based handoff (sim_options::push_handoff): the mailbox a donor
     // deposits a pre-split range into before the targeted wake, and the
     // time this worker ran dry (-1 = has work). idle_since_ also feeds the
     // wake_to_first_ns stat in the pull model, where the "wake" is the
     // backoff expiry that finally wins a steal.
-    irange pending;
+    iter_range pending;
     bool has_pending = false;
     double idle_since = -1;
     // Entry model, for donate-on-open: entry_floor is the earliest this
@@ -104,30 +108,9 @@ class loop_sim {
 
   void schedule(std::uint32_t w, double t) { heap_.push({t, w}); }
 
-  irange split_range(std::int64_t lo, std::int64_t total,
-                     std::uint64_t pieces, std::uint64_t k) const {
-    // Balanced k-th piece of [lo, lo+total) in `pieces` pieces.
-    const std::int64_t base = total / static_cast<std::int64_t>(pieces);
-    const std::int64_t rem = total % static_cast<std::int64_t>(pieces);
-    const std::int64_t ki = static_cast<std::int64_t>(k);
-    const std::int64_t extra = std::min<std::int64_t>(ki, rem);
-    const std::int64_t b = lo + ki * base + extra;
-    return {b, b + base + (ki < rem ? 1 : 0)};
-  }
-
-  irange part_range(std::uint64_t r) const {
-    if (!weighted_bounds_.empty()) {
-      return {weighted_bounds_[r], weighted_bounds_[r + 1]};
-    }
-    return split_range(0, n_, r_count_, r);
-  }
-  irange block_range(std::uint32_t w) const {
-    return split_range(0, n_, p_, w);
-  }
-
-  double exec_cost(std::uint32_t core, irange rg) {
+  double exec_cost(std::uint32_t core, iter_range rg) {
     double ns = 0;
-    for (std::int64_t i = rg.lo; i < rg.hi; ++i) {
+    for (std::int64_t i = rg.begin; i < rg.end; ++i) {
       ns += ls_.cpu(i) + loc_.access_ns(ls_, i, core);
       if (owners_ != nullptr) (*owners_)[i] = core;
     }
@@ -137,12 +120,12 @@ class loop_sim {
   // Executes rg's leftmost grain-sized chunk after d&c splitting (upper
   // halves go to the worker's deque for thieves); schedules the completion
   // event.
-  void run_range(std::uint32_t w, irange rg, double t, double lead) {
+  void run_range(std::uint32_t w, iter_range rg, double t, double lead) {
     bool donated = false;
     while (rg.size() > grain_) {
-      const std::int64_t mid = rg.lo + rg.size() / 2;
-      const irange upper{mid, rg.hi};
-      rg.hi = mid;
+      const std::int64_t mid = rg.begin + rg.size() / 2;
+      const iter_range upper{mid, rg.end};
+      rg.end = mid;
       // Donate-on-open: the FIRST (largest) upper half goes straight to
       // the longest-idle peer's mailbox with a targeted wake, exactly once
       // per opened range — the threaded donor's one pre-split per span.
@@ -202,7 +185,7 @@ class loop_sim {
   }
 
   // Executes rg as one sequential chunk.
-  void run_chunk(std::uint32_t w, irange rg, double t, double lead) {
+  void run_chunk(std::uint32_t w, iter_range rg, double t, double lead) {
     const double start = t + lead;
     if (ws_[w].idle_since >= 0) {
       out_.wake_to_first_ns += start - ws_[w].idle_since;
@@ -214,7 +197,7 @@ class loop_sim {
     out_.busy_ns_per_worker[w] += lead + dur;
     ++out_.chunks;
     if (opt_.record_schedule) {
-      out_.schedule.push_back({rg.lo, rg.hi, w, flat_index_, start});
+      out_.schedule.push_back({rg.begin, rg.end, w, flat_index_, start});
     }
     done_iters_ += rg.size();
     const double end = start + dur;
@@ -226,7 +209,7 @@ class loop_sim {
   bool try_local(std::uint32_t w, double t) {
     auto& dq = ws_[w].dq;
     if (dq.empty()) return false;
-    const irange rg = dq.back();
+    const iter_range rg = dq.back();
     dq.pop_back();
     run_range(w, rg, t, 0.0);
     return true;
@@ -254,7 +237,7 @@ class loop_sim {
         --pick;
       }
     }
-    const irange rg = ws_[victim].dq.front();  // top = largest, oldest
+    const iter_range rg = ws_[victim].dq.front();  // top = largest, oldest
     ws_[victim].dq.pop_front();
     ++out_.steals;
     out_.steal_probes += probes;
@@ -265,30 +248,27 @@ class loop_sim {
     return true;
   }
 
-  // Returns true if a claim produced work (event scheduled). On exit from
-  // the claim loop, switches the worker to thief mode and charges the
-  // accumulated claim time.
+  // Steps the worker's claim cursor up to its next non-empty claimed
+  // partition. Returns true if a claim produced work (event scheduled). On
+  // exit from the claim walk, switches the worker to thief mode and
+  // charges the accumulated claim time.
   bool try_claim(std::uint32_t w, double t) {
     auto& s = ws_[w];
-    const std::uint32_t weff =
-        w & static_cast<std::uint32_t>(r_count_ - 1);
     double lead = 0;
-    while (s.claim_i < r_count_) {
+    while (!s.claim.done()) {
       lead += m_.claim_cost;
-      const std::uint64_t r = core::claim_target(s.claim_i, weff);
-      if (claimed_[r] == 0) {
-        claimed_[r] = 1;
+      const std::uint64_t r = s.claim.target();
+      if (parts_->try_claim(r)) {
         ++out_.successful_claims;
-        s.claim_i += 1;
-        const irange rg = part_range(r);
-        if (rg.size() == 0) continue;  // empty partition: claimed, move on
+        s.claim.won();
+        const iter_range rg = parts_->range(r);
+        if (rg.empty()) continue;  // empty partition: claimed, move on
         out_.claim_ns += lead;
         run_range(w, rg, t, lead);
         return true;
       }
       ++out_.failed_claims;
-      if (s.claim_i == 0) break;  // designated partition taken: leave loop
-      s.claim_i = core::advance_on_failure(s.claim_i);
+      s.claim.lost();  // a lost designated partition ends the walk
     }
     // Claim loop exhausted: revert to ordinary randomized work stealing.
     s.md = wmode::thief;
@@ -301,19 +281,11 @@ class loop_sim {
   }
 
   bool try_queue(std::uint32_t w, double t) {
-    if (qnext_ >= n_) return false;
+    const iter_range rg = queue_.take();
+    if (rg.empty()) return false;
     ++out_.queue_accesses;
     const double t_acc = std::max(t, queue_free_) + m_.queue_cs;
     queue_free_ = t_acc;
-    std::int64_t size;
-    if (pol_ == policy::guided) {
-      size = std::max(min_chunk_,
-                      (n_ - qnext_) / (2 * static_cast<std::int64_t>(p_)));
-    } else {
-      size = chunk_;
-    }
-    const irange rg{qnext_, std::min(n_, qnext_ + size)};
-    qnext_ = rg.hi;
     out_.queue_ns += t_acc - t;
     run_chunk(w, rg, t, t_acc - t);  // queue wait + critical section as lead
     return true;
@@ -324,15 +296,14 @@ class loop_sim {
     if (s.md == wmode::entering) {
       switch (pol_) {
         case policy::static_part: {
-          if (w < p_ && taken_[w] == 0) {
-            taken_[w] = 1;
-            const irange rg = block_range(w);
-            if (rg.size() > 0) {
-              out_.dispatch_ns += m_.chunk_dispatch;
-              run_chunk(w, rg, t, m_.chunk_dispatch);
-            }
+          // Strict static: block w, then leave. A simulated worker enters
+          // a static loop exactly once, so nobody else can take it.
+          const iter_range rg = core::balanced_range(0, n_, p_, w);
+          if (!rg.empty()) {
+            out_.dispatch_ns += m_.chunk_dispatch;
+            run_chunk(w, rg, t, m_.chunk_dispatch);
           }
-          s.md = wmode::done;  // strict static: one block, then leave
+          s.md = wmode::done;
           return;
         }
         case policy::dynamic_shared:
@@ -343,16 +314,13 @@ class loop_sim {
           if (w == 0) s.dq.push_back({0, n_});
           s.md = wmode::thief;
           break;
-        case policy::hybrid: {
-          const std::uint32_t weff =
-              w & static_cast<std::uint32_t>(r_count_ - 1);
+        case policy::hybrid:
           // DoHybridLoop steal protocol: enter via the claim loop iff the
           // designated partition is still unclaimed.
-          s.md = claimed_[core::claim_target(0, weff)] == 0 ? wmode::claiming
-                                                            : wmode::thief;
-          s.claim_i = 0;
+          s.claim = core::claim_cursor(w, parts_->count());
+          s.md = parts_->is_claimed(s.claim.target()) ? wmode::thief
+                                                      : wmode::claiming;
           break;
-        }
         case policy::serial:
           s.md = wmode::done;
           return;
@@ -413,16 +381,11 @@ class loop_sim {
 
   const std::int64_t n_;
   const std::uint32_t p_;
-  std::int64_t grain_ = 1;
-  std::int64_t chunk_ = 1;
-  std::int64_t min_chunk_ = 1;
-  std::uint64_t r_count_ = 1;
+  const std::int64_t grain_;
+  core::chunk_queue queue_;                  // dynamic_shared, guided
+  std::optional<core::partition_set> parts_;  // hybrid
 
   std::vector<wstate> ws_;
-  std::vector<std::int64_t> weighted_bounds_;
-  std::vector<char> claimed_;
-  std::vector<char> taken_;
-  std::int64_t qnext_ = 0;
   double queue_free_ = 0;
   std::int64_t done_iters_ = 0;
   double finish_ = 0;

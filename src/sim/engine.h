@@ -1,8 +1,10 @@
 // Discrete-event virtual-time simulator of the scheduling policies.
 //
-// Runs the same policy logic as the threaded runtime (the hybrid claim loop
-// is literally core::run_claim_loop's arithmetic) over P simulated workers
-// under the machine cost model. Produces the quantities the paper's figures
+// Hands out static blocks, queue chunks and hybrid claims through the same
+// core/ code as the threaded runtime (balanced_range, chunk_queue,
+// partition_set and claim_cursor) over P simulated workers under the
+// machine cost model. Spans, victim choice and arrival are still its own
+// (docs/simulator.md). Produces the quantities the paper's figures
 // plot: makespans (Fig. 1/3 scalability), iteration -> core schedules
 // (Fig. 2 affinity), region-level memory hierarchy counts, and the chunk
 // schedule the line-level memsim replays (Fig. 4).

@@ -65,6 +65,28 @@ TEST(AdvanceOnFailure, AddsLeastSignificantSetBit) {
   EXPECT_EQ(advance_on_failure(12), 16u);
 }
 
+TEST(ClaimCursor, WrapsWorkerModuloR) {
+  // With fewer partitions than workers, w and w + R share a designated
+  // partition and walk the same sequence.
+  claim_cursor a(1, 4);
+  claim_cursor b(5, 4);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(a.target(), claim_target(i, 1));
+    EXPECT_EQ(b.target(), a.target());
+    a.won();
+    b.won();
+  }
+  EXPECT_TRUE(a.done());
+  EXPECT_TRUE(b.done());
+}
+
+TEST(ClaimCursor, LostDesignatedPartitionEndsTheWalk) {
+  claim_cursor c(3, 8);
+  EXPECT_EQ(c.target(), 3u);
+  EXPECT_FALSE(c.lost());
+  EXPECT_TRUE(c.done());
+}
+
 TEST(ClaimLoop, SoloWorkerClaimsEverythingInIndexOrder) {
   constexpr std::uint64_t R = 32;
   for (std::uint32_t w = 0; w < R; ++w) {

@@ -178,6 +178,14 @@ TEST(ParkingLot, ParkUnparkStress) {
       }
     });
   }
+  // Start the rounds once a parker has completed a park (bounded): on a
+  // loaded host the producer could otherwise finish every round and stop
+  // the parkers before any of them ran.
+  const auto parker_ran = std::chrono::steady_clock::now() + 5s;
+  while (parks.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < parker_ran) {
+    std::this_thread::yield();
+  }
   for (int r = 0; r < kRounds; ++r) {
     (void)pl.unpark_one();
     if (r % 64 == 0) std::this_thread::yield();
@@ -201,12 +209,19 @@ TEST(RuntimeWake, WakeCountersAccountTargetedWakes) {
     std::atomic<int>& c_;
   };
   for (int round = 0; round < 50; ++round) {
-    std::this_thread::sleep_for(500us);  // let worker 1 park
+    // Let worker 1 park: wait until it has (bounded; on a loaded host it
+    // can stay on its yield rungs well past a fixed sleep), then sleep.
+    const auto parked_by = std::chrono::steady_clock::now() + 2s;
+    while (rt.parking().waiters() == 0 &&
+           std::chrono::steady_clock::now() < parked_by) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(500us);
     w0.push(new count_task(count));
   }
   w0.work_until([&] { return count.load() == 50; });
   const telemetry::counter_set total = rt.tel().totals();
-  // With the sleeps above, worker 1 parks between pushes, so targeted
+  // With the waits above, worker 1 parks between pushes, so targeted
   // wakes must have been sent (exact counts are timing-dependent).
   EXPECT_GT(total.wakes_sent, 0u);
   EXPECT_GT(total.idle_sleeps, 0u);
