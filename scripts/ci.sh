@@ -157,40 +157,24 @@ echo "== huge-N smoke (bounded address space)"
 # next to the primitives archive for cross-run comparison.
 build/bench/fig1_micro --json > build/BENCH_fig1_micro.json
 python3 -m json.tool --json-lines build/BENCH_fig1_micro.json > /dev/null
-# The fig1 archive is simulator output, deterministic to the byte, so it
-# must equal its baseline exactly: the perf gate below would pass any drift
-# that lowers no speedup by more than 15 %.
-echo "== fig1 DES baseline (exact)"
-if ! cmp build/BENCH_fig1_micro.json bench/baseline/BENCH_fig1_micro.json; then
-  echo "fig1_micro --json no longer matches bench/baseline/BENCH_fig1_micro.json:"
-  echo "the simulator's output moved. If the move is intended, re-record with"
-  echo "  HLS_PERF_BASELINE_UPDATE=1 python3 scripts/perf_gate.py \\"
-  echo "    --current build/BENCH_fig1_micro.json \\"
-  echo "    --baseline bench/baseline/BENCH_fig1_micro.json --format fig1"
-  echo "and list each moved row in CHANGES.md."
-  exit 1
-fi
-
-# DES handoff-vs-probe smoke (docs/runtime.md "Push-based handoff"): the
-# deterministic simulator A/Bs the push and pull wake models on a
-# scheduling-bound straggler workload. At the paper's scale (P >= 32) the
-# push model must actually donate and must not lose to the probe model on
-# makespan; the comparison JSON is archived for inspection.
-echo "== DES handoff-vs-probe smoke"
-build/examples/handoff_sim --json > build/DES_handoff_vs_probe.json
-python3 - <<'EOF'
-import json
-rows = [json.loads(l) for l in open("build/DES_handoff_vs_probe.json") if l.strip()]
-by = {(r["p"], r["mode"]): r for r in rows}
-for p in (32, 64):
-    probe, push = by[(p, "probe")], by[(p, "handoff")]
-    assert push["handoffs"] > 0, (p, push)
-    assert push["steals"] < probe["steals"], (p, push, probe)
-    # Donated wakes must win (small tolerance: the DES is deterministic,
-    # this guards the model, not host noise).
-    assert push["makespan_ns"] <= probe["makespan_ns"] * 1.01, (p, push, probe)
-print("DES handoff-vs-probe: push model dominates at P>=32")
-EOF
+# Every DES figure is simulator output, deterministic to the byte, so each
+# archive must equal its baseline exactly: the perf gate below would pass
+# any fig1 drift that lowers no speedup by more than 15 %, and gates no
+# other figure.
+echo "== DES baselines (exact)"
+for b in fig1_micro fig2_affinity fig3_nas fig4_memcounts fig5_latency \
+         ablation_arrival ablation_claims ablation_grain ablation_partitions; do
+  [ "$b" = fig1_micro ] || "build/bench/$b" --json > "build/BENCH_$b.json"
+  if ! cmp "build/BENCH_$b.json" "bench/baseline/BENCH_$b.json"; then
+    echo "$b --json no longer matches bench/baseline/BENCH_$b.json:"
+    echo "the simulator's output moved. If the move is intended, re-record with"
+    echo "  HLS_PERF_BASELINE_UPDATE=1 python3 scripts/perf_gate.py \\"
+    echo "    --current build/BENCH_$b.json \\"
+    echo "    --baseline bench/baseline/BENCH_$b.json --format fig1"
+    echo "and list each moved row in CHANGES.md."
+    exit 1
+  fi
+done
 
 # Perf-regression gate: both archives are diffed against the committed
 # baselines (bench/baseline/); a >15% regression fails the run. Regenerate

@@ -8,15 +8,6 @@
 
 namespace hls::rt {
 
-const char* worker_health_name(worker_health h) noexcept {
-  switch (h) {
-    case worker_health::healthy: return "healthy";
-    case worker_health::slow: return "slow";
-    case worker_health::stalled: return "stalled";
-  }
-  return "?";
-}
-
 health_watchdog::health_watchdog(runtime& rt, options opt)
     : rt_(rt), opt_(opt), lanes_(rt.num_workers()) {
   if (opt_.progress_budget < std::chrono::microseconds(10)) {
@@ -60,17 +51,21 @@ std::uint32_t health_watchdog::scan() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           opt_.progress_budget)
           .count());
-  // Stalls only matter while a loop is open: a silent worker with no
-  // outstanding loop is just an application thread between loops (worker
-  // 0 belongs to the user), and flagging it would make stalls_detected
-  // meaningless noise.
-  const bool loop_open = rt_.loop_board().any_open();
-
-  std::uint32_t stalled = 0;
-  bool rescue_needed = false;
   const std::uint32_t n =
       std::min<std::uint32_t>(rt_.num_workers(),
                               static_cast<std::uint32_t>(lanes_.size()));
+  // Stalls only matter while a loop is open: a silent worker with no
+  // outstanding loop is just an application thread between loops (worker
+  // 0 belongs to the user), and flagging it would make stalls_detected
+  // meaningless noise. A loop is open on the board or, for dynamic_ws,
+  // which posts nothing there, in a worker's range slot 0.
+  bool loop_open = rt_.loop_board().any_open();
+  for (std::uint32_t w = 0; w < n && !loop_open; ++w) {
+    loop_open = rt_.worker_at(w).range(0).looks_open();
+  }
+
+  std::uint32_t stalled = 0;
+  bool rescue_needed = false;
   for (std::uint32_t w = 0; w < n; ++w) {
     worker& wk = rt_.worker_at(w);
     lane& ln = lanes_[w];

@@ -14,7 +14,9 @@
 //            is the scan interval (a long chunk body beats only at its
 //            boundaries, so it is silent but on-CPU)
 //   slow     silent for >= budget / 2
-//   stalled  silent for >= budget while a loop is open on the board
+//   stalled  silent for >= budget while a loop is open: posted on the
+//            board, or open in a worker's range slot 0 (dynamic_ws posts
+//            nothing to the board)
 //
 // Only off-CPU silence becomes a stall: a sleeping or blocked body, a
 // descheduled thread, a wedged one. A worker whose CPU clock cannot be
@@ -60,8 +62,6 @@ namespace hls::rt {
 class runtime;
 
 enum class worker_health : std::uint8_t { healthy = 0, slow = 1, stalled = 2 };
-
-const char* worker_health_name(worker_health h) noexcept;
 
 class health_watchdog {
  public:

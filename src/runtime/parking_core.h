@@ -99,8 +99,6 @@ class parking_lot_core {
   parking_lot_core(const parking_lot_core&) = delete;
   parking_lot_core& operator=(const parking_lot_core&) = delete;
 
-  std::uint32_t num_slots() const noexcept { return n_; }
-
   // Phase 1: announce intent to park. Publishes slot w as a waiter
   // (seq_cst) and returns the epoch ticket to pass to park(). The caller
   // must follow with exactly one cancel_park(w) or park(w, ...).
@@ -243,7 +241,7 @@ class parking_lot_core {
   // paying for the deposit itself. Purely a hint — the slot may become
   // active between this scan and the unpark_at; callers must handle a
   // false return from unpark_at by reclaiming whatever they deposited.
-  // Returns num_slots() when no candidate is visible.
+  // Returns the slot count when no candidate is visible.
   std::uint32_t pick_waiter() noexcept {
     Traits::fence(std::memory_order_seq_cst);
     if (waiters_.load(std::memory_order_relaxed) == 0) return n_;
@@ -325,10 +323,6 @@ class parking_lot_core {
       { hls::scoped_lock<mutex_t> lg(s.mu); }
       s.cv.notify_all();
     }
-  }
-
-  bool stop_requested() const noexcept {
-    return stop_.load(std::memory_order_acquire);
   }
 
   // Racy count of announced waiters (pending + parked); for telemetry and

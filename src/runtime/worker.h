@@ -43,7 +43,6 @@ class worker {
   std::uint32_t id() const noexcept { return id_; }
   runtime& rt() noexcept { return rt_; }
   ws_deque& deque() noexcept { return deque_; }
-  xoshiro256ss& rng() noexcept { return rng_; }
 
   // ---- splittable-range slots (lazy loop splitting) -----------------
   // A small fixed stack of slots (runtime/range_slot.h). The owner opens

@@ -37,16 +37,6 @@ struct sim_options {
   // hybrid schemes redistribute the straggler's share.
   double straggler_fraction = 0.0;
   double straggler_delay_ns = 0.0;
-
-  // Model the threaded runtime's push-based work handoff: when a worker
-  // splits a range wider than the grain and a peer is idling in steal
-  // backoff, the first (largest) upper half is deposited directly with the
-  // longest-idle peer and a targeted wake is charged (machine_desc::
-  // handoff_cost), so the peer's next dispatch runs with zero steal probes.
-  // Off (default) keeps the pure pull model: idle workers ride out their
-  // backoff and pay the probe walk. A/B these to reproduce the
-  // handoff-vs-probe comparison (scripts/ci.sh DES smoke).
-  bool push_handoff = false;
 };
 
 // One executed chunk, for memsim replay (global virtual-time order).
@@ -77,22 +67,6 @@ struct sim_result {
   std::uint64_t successful_claims = 0;
   std::uint64_t failed_claims = 0;
   std::uint64_t queue_accesses = 0;
-
-  // Push-based handoff tallies (sim_options::push_handoff). handoff_ns is
-  // the donor-side deposit + targeted-wake time (charged to steal_ns's
-  // sibling axis, not mixed into it, so the A/B stays legible).
-  std::uint64_t handoffs = 0;
-  double handoff_ns = 0;
-  // Idle-to-first-iteration latency: virtual time from a worker running
-  // out of work (entering steal backoff) to the start of its next chunk,
-  // summed over all such wakes. With push_handoff the donor's targeted
-  // wake short-circuits the backoff + probe walk; without it the worker
-  // rides out the residue. Recorded in both modes for the comparison.
-  double wake_to_first_ns = 0;
-  std::uint64_t wakes = 0;
-  double mean_wake_to_first_ns() const {
-    return wakes == 0 ? 0.0 : wake_to_first_ns / static_cast<double>(wakes);
-  }
 
   // Fig. 2 metric: average same-owner fraction between consecutive outer
   // iterations of each loop (only meaningful when outer_iterations > 1).

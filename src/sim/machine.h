@@ -20,12 +20,6 @@ struct machine_desc {
   // Scheduling cost model, ns.
   double steal_attempt = 120.0;    // probe a victim's deque
   double steal_success = 400.0;    // migrate a task between cores
-  // Push-based handoff (sim_options::push_handoff): donor-side cost of
-  // pre-splitting a range into a sleeper's mailbox plus the targeted wake
-  // (one CAS + one store + one futex signal). Cheaper than steal_success
-  // because the payload moves on the donor's already-hot line and the
-  // consumer skips the probe walk entirely.
-  double handoff_cost = 250.0;
   double claim_cost = 60.0;        // one fetch_or on the partition flags
   double chunk_dispatch = 30.0;    // pick a chunk off the local deque
   double queue_cs = 100.0;         // central-queue critical section

@@ -175,5 +175,27 @@ TEST(Watchdog, ManualScanClassifiesStallArmsRescueAndRecovers) {
   rt.loop_board().clear(slot);
 }
 
+// dynamic_ws posts nothing to the board: its loop is open only in the
+// poster's range slot, and silence under that span is a stall too.
+TEST(Watchdog, SilenceUnderAnOpenSpanIsAStall) {
+  rt::runtime_options o;
+  o.num_workers = 1;
+  o.watchdog = false;  // single-writer rule: only the manual scanner below
+  rt::runtime rt(o);
+
+  rt::health_watchdog::options wopt;
+  wopt.progress_budget = 100us;
+  wopt.start_thread = false;
+  rt::health_watchdog wd(rt, wopt);
+
+  int ctx = 0;
+  const auto runner = [](rt::worker&, void*, std::int64_t, std::int64_t) {};
+  ASSERT_NE(rt.worker_at(0).open_span(&ctx, runner, 0, 64, 16), nullptr);
+  std::this_thread::sleep_for(1ms);  // silence >= budget under the span
+  EXPECT_EQ(wd.scan(), 1u);
+  EXPECT_EQ(rt.tel().totals().stalls_detected, 1u);
+  rt.worker_at(0).close_span();
+}
+
 }  // namespace
 }  // namespace hls

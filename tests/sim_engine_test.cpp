@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "sim/report.h"
 #include "util/bits.h"
 #include "workloads/micro.h"
@@ -33,16 +37,26 @@ micro_params small_unbalanced() {
 }
 
 TEST(SimEngine, DeterministicAcrossRuns) {
-  const auto w = micro_spec(small_balanced());
-  for (policy pol : kAllParallelPolicies) {
-    sim_options opt;
-    opt.seed = 99;
-    const auto a = simulate(paper_machine(), w, pol, opt);
-    const auto b = simulate(paper_machine(), w, pol, opt);
-    EXPECT_EQ(a.makespan_ns, b.makespan_ns) << policy_name(pol);
-    EXPECT_EQ(a.chunks, b.chunks) << policy_name(pol);
-    EXPECT_EQ(a.steals, b.steals) << policy_name(pol);
-    EXPECT_EQ(a.affinity, b.affinity) << policy_name(pol);
+  // Plain arrival, and stragglers, whose draws share the seeded RNG with
+  // discovery and victim choice.
+  sim_options plain;
+  plain.seed = 99;
+  sim_options stragglers = plain;
+  stragglers.straggler_fraction = 0.3;
+  stragglers.straggler_delay_ns = 50000.0;
+  const std::pair<workload_spec, sim_options> inputs[] = {
+      {micro_spec(small_balanced()), plain},
+      {micro_spec(small_unbalanced()), stragglers},
+  };
+  for (const auto& [w, opt] : inputs) {
+    for (policy pol : kAllParallelPolicies) {
+      const auto a = simulate(paper_machine(), w, pol, opt);
+      const auto b = simulate(paper_machine(), w, pol, opt);
+      EXPECT_EQ(a.makespan_ns, b.makespan_ns) << policy_name(pol);
+      EXPECT_EQ(a.chunks, b.chunks) << policy_name(pol);
+      EXPECT_EQ(a.steals, b.steals) << policy_name(pol);
+      EXPECT_EQ(a.affinity, b.affinity) << policy_name(pol);
+    }
   }
 }
 
@@ -333,54 +347,46 @@ TEST(SweepReport, ProducesMonotoneSpeedupForHybridBalanced) {
   EXPECT_GT(sweep.points.back().speedup, 4.0);
 }
 
-// Push-based handoff A/B (sim_options::push_handoff). Every iteration must
-// still be scheduled exactly once — a dropped donation would show up as a
-// coverage hole here. (work_ns is NOT compared: it includes locality
-// costs, which legitimately move when the chunk->core mapping changes.)
-TEST(SimEngine, PushHandoffPreservesCoverage) {
-  const auto w = micro_spec(small_balanced());
-  sim_options opt;
-  opt.push_handoff = true;
-  opt.record_schedule = true;
-  for (policy pol : {policy::dynamic_ws, policy::hybrid}) {
-    const auto r = simulate(paper_machine(), w, pol, opt);
-    std::int64_t iters = 0;
-    for (const auto& c : r.schedule) iters += c.end - c.begin;
-    EXPECT_EQ(iters, w.loops[0].n * w.outer_iterations) << policy_name(pol);
-  }
-}
-
-TEST(SimEngine, PushHandoffOffIsBitIdenticalToTheOldModel) {
-  // The knob must not perturb the pull model: fig1/fig3 baselines are
-  // simulator outputs and gate on exact speedups.
-  const auto w = micro_spec(small_unbalanced());
-  sim_options off;
-  off.straggler_fraction = 0.3;
-  off.straggler_delay_ns = 50000.0;
-  const auto a = simulate(paper_machine(), w, policy::dynamic_ws, off);
-  const auto b = simulate(paper_machine(), w, policy::dynamic_ws, off);
-  EXPECT_EQ(a.makespan_ns, b.makespan_ns);
-  EXPECT_EQ(a.handoffs, 0u);
-  EXPECT_EQ(a.handoff_ns, 0.0);
-}
-
-TEST(SimEngine, PushHandoffDonatesAndHelpsWideTeamsWithStragglers) {
-  micro_params p = small_balanced();
-  p.iterations = 4096;
-  p.outer_iterations = 16;
-  const auto w = micro_spec(p);
+// A worker runs one chunk at a time: on every core, each chunk starts no
+// earlier than the previous one ends. The loop touches no memory and its
+// iterations cost whole nanoseconds, so a chunk lasts exactly the sum of
+// its iterations' cpu_ns and the sums are exact.
+TEST(SimEngine, NoWorkerRunsTwoChunksAtOnce) {
+  workload_spec w;
+  w.outer_iterations = 4;
+  loop_spec ls;
+  ls.n = 4096;
+  ls.grain = 64;
+  ls.cpu_ns = [](std::int64_t i) {
+    return 100.0 + static_cast<double>(i % 7);
+  };
+  w.loops.push_back(ls);
   sim_options opt;
   opt.straggler_fraction = 0.25;
   opt.straggler_delay_ns = 50000.0;
-  const auto probe = simulate(paper_machine(), w, policy::dynamic_ws, opt);
-  opt.push_handoff = true;
-  const auto push = simulate(paper_machine(), w, policy::dynamic_ws, opt);
-  EXPECT_GT(push.handoffs, 0u);
-  EXPECT_GT(push.handoff_ns, 0.0);
-  EXPECT_GT(push.wakes, 0u);
-  // Donated wakes replace steal migrations and close instances sooner.
-  EXPECT_LT(push.steals, probe.steals);
-  EXPECT_LE(push.makespan_ns, probe.makespan_ns * 1.02);
+  opt.record_schedule = true;
+  for (std::uint32_t p : {8u, 32u}) {
+    for (policy pol : kAllParallelPolicies) {
+      const auto r = simulate(paper_machine().with_workers(p), w, pol, opt);
+      std::vector<std::vector<chunk_event>> per_core(p);
+      for (const auto& c : r.schedule) per_core[c.core].push_back(c);
+      for (auto& chunks : per_core) {
+        std::sort(chunks.begin(), chunks.end(),
+                  [](const chunk_event& a, const chunk_event& b) {
+                    return a.start_ns < b.start_ns;
+                  });
+        for (std::size_t k = 1; k < chunks.size(); ++k) {
+          const chunk_event& prev = chunks[k - 1];
+          double cost = 0;
+          for (std::int64_t i = prev.begin; i < prev.end; ++i) {
+            cost += ls.cpu(i);
+          }
+          EXPECT_GE(chunks[k].start_ns, prev.start_ns + cost)
+              << policy_name(pol) << " P=" << p << " core " << prev.core;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
