@@ -271,10 +271,10 @@ BENCHMARK(BM_SpanOverheadHandoff)
     ->Arg(0)
     ->Name("BM_SpanOverhead/handoff");
 
-// The same lazy span at huge N: 2^33 iterations — four times the old
-// packed-word span cap — published as ONE span and consumed in 2^20-sized
-// chunks. Guards the per-refill cost of the two-word reserve protocol at
-// widths the old packed-word slot could only reach by bisecting; the
+// The same lazy span at huge N: 2^33 iterations published as ONE span
+// (the slot's word counts it in units of four iterations) and consumed in
+// 2^20-sized chunks. Guards the per-refill cost of the reserve CAS at
+// widths a slot of one-iteration units could only reach by bisecting; the
 // counter delta asserts the loop really stayed on the span path (a silent
 // serial fallback would still "pass" on time alone at this grain).
 void BM_SpanOverheadHuge(benchmark::State& state) {

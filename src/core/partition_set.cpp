@@ -94,28 +94,6 @@ std::uint64_t partition_set::claim_block(std::uint64_t b) noexcept {
   return won;
 }
 
-std::uint64_t partition_set::next_unclaimed(std::uint64_t from) const noexcept {
-  if (from >= r_) return r_;
-  if (words_ != nullptr) {
-    std::uint64_t b = from >> 6;
-    // Ignore bits below `from` in its own block.
-    std::uint64_t mask = block_mask(b) & (~0ull << (from & 63));
-    for (const std::uint64_t nb = block_count(); b < nb; ++b) {
-      const std::uint64_t free =
-          mask & ~words_[b].value.load(std::memory_order_acquire);
-      if (free != 0) {
-        return (b << 6) + static_cast<std::uint64_t>(std::countr_zero(free));
-      }
-      mask = b + 1 < nb ? block_mask(b + 1) : 0;
-    }
-    return r_;
-  }
-  for (std::uint64_t r = from; r < r_; ++r) {
-    if (!is_claimed(r)) return r;
-  }
-  return r_;
-}
-
 std::uint64_t partition_set::claimed_count() const noexcept {
   return claimed_count_.load(std::memory_order_acquire);
 }

@@ -118,10 +118,6 @@ class partition_set {
   // individual test_and_set win, so exactly-once is untouched.
   std::uint64_t claim_block(std::uint64_t b) noexcept;
 
-  // First unclaimed partition index >= from, or count() when none; skips
-  // fully-claimed blocks one load at a time in bitmap mode.
-  std::uint64_t next_unclaimed(std::uint64_t from) const noexcept;
-
   // Adapter satisfying core::claim_flags so run_claim_loop drives this set.
   struct flags_adapter {
     partition_set& set;

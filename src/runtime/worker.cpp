@@ -78,7 +78,7 @@ handoff_slot* worker::claim_handoff_target(std::uint32_t* target_out) {
 // Deposit published; deliver the wake or reclaim the payload. Returns
 // true when the payload was delivered (targeted wake sent, or a racing
 // consumer already took it); false after a successful reclaim, with the
-// payload copied to *back for the caller to reinstate.
+// payload copied to *back for the caller to run.
 bool worker::deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
                                 std::int64_t iters, handoff_item* back) {
   if (faultsim::injector* c = rt_.chaos();
@@ -122,8 +122,8 @@ bool worker::donate_range() {
   if (box == nullptr) return false;
   // Donor-side pre-split: carve the upper half off the span this worker
   // just opened (its innermost slot) with the slot's regular thief
-  // protocol — the same CAS transaction an actual steal runs, so the
-  // Corollary-6 split bound and exactly-once argument apply unchanged.
+  // protocol — the same CAS an actual steal runs, so the Corollary-6
+  // split bound and exactly-once argument apply unchanged.
   range_slot& slot = ranges_[open_spans_ - 1];
   const range_slot::stolen s = slot.try_steal();
   if (!s) {
@@ -133,12 +133,10 @@ bool worker::donate_range() {
   box->publish({s.run, s.ctx, s.lo, s.hi});
   handoff_item back;
   if (deliver_or_reclaim(*box, target, s.hi - s.lo, &back)) return true;
-  // Reclaimed: restore the range to the open span when no thief moved the
-  // frontier meanwhile; otherwise execute it here (the runner thunk opens
-  // the next slot for it, nested inside the span it came from).
-  if (!slot.try_unsteal(back.lo, back.hi)) {
-    back.run(*this, back.ctx, back.lo, back.hi);
-  }
+  // Reclaimed: execute the range here (the runner thunk opens the next
+  // slot for it, nested inside the span it came from, so it stays
+  // stealable).
+  back.run(*this, back.ctx, back.lo, back.hi);
   return false;
 }
 

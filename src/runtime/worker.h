@@ -105,7 +105,8 @@ class worker {
   // when the range was delivered (wake sent, or a racing consumer took
   // it) — no further notify needed; false means nothing was handed off
   // (no waiter, mailbox busy, pre-split failed, or the deposit was
-  // reclaimed) and the caller must fall back to notify_work().
+  // reclaimed and already run here) and the caller must fall back to
+  // notify_work().
   bool donate_range();
 
   worker_stats stats() const noexcept { return tel_.counters.snapshot(); }

@@ -146,12 +146,14 @@ struct loop_ctx {
 // and one retire for the whole span; thieves split off the upper half via
 // the slot's CAS and seed their own slots recursively, so the
 // divide-and-conquer span bound is preserved while the no-steal fast path
-// costs two shared stores per span total. The slot's two-word protocol
-// carries full 64-bit spans. The floor starts at the grain; each span
-// times its first chunk, and a grain slower than kSplitTargetNs lowers it
-// for the whole loop, so a heavy tail splits below the grain. The one
-// fallback is a full stack (spans nested rt::worker::kSpanSlots deep): the
-// span then runs as bounded serial chunks.
+// costs one shared-word CAS per refill. The slot's one-word protocol
+// counts a span of 2^32 - 1 iterations or more in units of 2^shift
+// iterations, so full 64-bit spans open directly. The floor starts at the
+// grain; each span times its first chunk, and a grain slower than
+// kSplitTargetNs lowers it for the whole loop, so a heavy tail splits
+// below the grain. The one fallback is a full stack (spans nested
+// rt::worker::kSpanSlots deep): the span then runs as bounded serial
+// chunks.
 class range_span {
  public:
   static void run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,

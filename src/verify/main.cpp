@@ -47,10 +47,10 @@ const model_spec kSpecs[] = {
      "range_slot with close() not draining readers (use-after-reopen race)",
      true, 3},
     {"range_word",
-     "64-bit two-word range layout: announce/re-read vs BUSY CAS/re-read",
+     "range_slot one-word claims: owner reserve CAS vs thief steal CAS",
      false, 3},
-    {"range_word-broken-norecheck",
-     "range_word with the thief's post-CAS split re-read skipped (overlap)",
+    {"range_word-broken-blindreserve",
+     "range_word with reserve as a load-then-store (lost steal, overlap)",
      true, 3},
     {"range_word-floor",
      "range_word with the owner lowering the split floor between reserves",
@@ -102,7 +102,7 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
   if (name == "range_slot-broken-nodrain")
     return hls::verify::make_range_slot_model(true);
   if (name == "range_word") return hls::verify::make_range_word_model(false);
-  if (name == "range_word-broken-norecheck")
+  if (name == "range_word-broken-blindreserve")
     return hls::verify::make_range_word_model(true);
   if (name == "range_word-floor") return hls::verify::make_range_floor_model();
   if (name == "claim-bitmap")

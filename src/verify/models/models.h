@@ -61,15 +61,14 @@ std::unique_ptr<model> make_deque_model(bool broken_no_last_cas);
 // close() drain prevents (caught as a vector-clock data race).
 std::unique_ptr<model> make_range_slot_model(bool broken_no_drain);
 
-// The 64-bit two-word range_slot layout's split/hi handshake: an owner
-// consuming one fine-grained span (announce + committed-hi re-read,
-// loss-retreat) vs a thief's tentative BUSY CAS + split re-read.
-// broken_no_recheck selects range_slot_policy_no_recheck, committing
-// steals without the Dekker split re-read (caught as a double-executed
-// iteration).
-std::unique_ptr<model> make_range_word_model(bool broken_no_recheck);
+// The range_slot's one-word claims: an owner consuming one fine-grained
+// span with reserve CASes on {split | hi} vs a thief's steal CAS on the
+// same word. broken_blind_reserve selects range_slot_policy_blind_reserve,
+// a load-then-store reserve that can write back a hi the thief just
+// lowered (caught as a double-executed iteration).
+std::unique_ptr<model> make_range_word_model(bool broken_blind_reserve);
 
-// The same handshake with a moving split floor: the span opens at grain 3
+// The same claims with a moving split floor: the span opens at grain 3
 // and the owner lowers it to 1 (set_grain) between its first two reserves
 // while the thief steals. Exactly-once and no hole must still hold.
 std::unique_ptr<model> make_range_floor_model();

@@ -1,26 +1,26 @@
-// Verification model for the 64-bit two-word range_slot layout
+// Verification model for the range_slot's one-word claim protocol
 // (runtime/range_slot_core.h): the owner consumes one span [0, 6) at
 // grain 1 — so it crosses the steal midpoint while a thief can still be
 // mid-probe — against a thief making two try_steal attempts.
 //
 // Where the reopen-focused `range_slot` model checks the close()/drain
-// lifetime protocol, this one targets the split/hi handshake itself: the
-// owner's announce (split store) + committed-hi re-read racing the
-// thief's tentative hi CAS + split re-read. Checked:
+// lifetime protocol, this one targets the claims themselves: the owner's
+// reserve CAS on {split | hi} racing the thief's steal CAS on the same
+// word. Checked:
 //   * exactly-once: every iteration executed exactly once across owner
 //     reserves and thief steals, in every interleaving — in particular
-//     when the owner announces past the thief's midpoint while the
-//     thief's BUSY transaction is in flight (the abort path), and when a
-//     commit forces the owner's loss-retreat (no hole at the frontier);
+//     when a steal lands between the owner's word load and its CAS (the
+//     owner's retry), and when the owner reserves through the thief's
+//     midpoint first (the thief's CAS misses);
 //   * a successful steal is internally consistent (range inside the span,
 //     ctx/runner not torn).
 //
-// The broken variant selects range_slot_policy_no_recheck: the thief
-// commits its CAS'd claim without re-reading split. The owner can then
-// have reserved through the midpoint (its hi re-read saw a clean value
-// at or above its target, so it committed) while the thief steals
-// [mid, hi) anyway — a double-executed iteration, which the harness
-// reports with the interleaving at preemption bound <= 3.
+// The broken variant selects range_slot_policy_blind_reserve: the owner
+// claims its batch with a load-then-store instead of the CAS. A steal
+// that lands between the two is undone by the store, which writes the
+// old hi back — the owner later reserves the stolen range again, a
+// double-executed iteration the harness reports with the interleaving at
+// preemption bound <= 3.
 //
 // The floor variant (`range_word-floor`) opens the span at grain 3 and
 // lowers the floor to 1 between the owner's first and second reserve
@@ -29,7 +29,7 @@
 // probe that reads the lowered floor can split it — and the thief's
 // probes race the lowering itself. The same exactly-once / no-hole check
 // must hold: the floor only sizes batches and the steal threshold, never
-// the commit.
+// the claim.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,9 +41,9 @@
 namespace hls::verify {
 namespace {
 
-// Grain 1 with 6 iterations: the owner needs several reserve announces to
-// cross the first midpoint (3), giving the thief CAS a window on both
-// sides of every announce.
+// Grain 1 with 6 iterations: the owner needs several reserves to cross
+// the first midpoint (3), giving the thief CAS a window on both sides of
+// every reserve.
 constexpr std::int64_t kSpanLen = 6;
 
 // Opening floor of the floor variant: the first reserve takes
@@ -122,11 +122,11 @@ class range_word_model_t final : public model {
 
 }  // namespace
 
-std::unique_ptr<model> make_range_word_model(bool broken_no_recheck) {
-  if (broken_no_recheck) {
+std::unique_ptr<model> make_range_word_model(bool broken_blind_reserve) {
+  if (broken_blind_reserve) {
     return std::make_unique<
-        range_word_model_t<rt::range_slot_policy_no_recheck>>(
-        "range_word-broken-norecheck", false);
+        range_word_model_t<rt::range_slot_policy_blind_reserve>>(
+        "range_word-broken-blindreserve", false);
   }
   return std::make_unique<range_word_model_t<rt::range_slot_policy_default>>(
       "range_word", false);

@@ -113,7 +113,9 @@ TEST(MicroBench, SliceBoundariesAreMonotone) {
   micro_bench mb(p);
   for (std::int64_t i = 0; i < 100; ++i) {
     EXPECT_LE(mb.slice_begin(i), mb.slice_end(i));
-    if (i > 0) EXPECT_EQ(mb.slice_begin(i), mb.slice_end(i - 1));
+    if (i > 0) {
+      EXPECT_EQ(mb.slice_begin(i), mb.slice_end(i - 1));
+    }
   }
 }
 

@@ -182,19 +182,6 @@ TEST(PartitionSetBitmap, ClaimBlockWinsExactlyTheUnclaimedBits) {
   EXPECT_TRUE(set.all_claimed());
 }
 
-TEST(PartitionSetBitmap, NextUnclaimedSkipsFullWords) {
-  partition_set set(0, 1 << 20, 256);
-  ASSERT_EQ(set.block_count(), 4u);
-  EXPECT_EQ(set.next_unclaimed(0), 0u);
-  // Fill words 0 and 1 entirely, plus a prefix of word 2.
-  for (std::uint64_t r = 0; r < 130; ++r) EXPECT_TRUE(set.try_claim(r));
-  EXPECT_EQ(set.next_unclaimed(0), 130u);
-  EXPECT_EQ(set.next_unclaimed(130), 130u);
-  EXPECT_EQ(set.next_unclaimed(131), 131u);
-  for (std::uint64_t r = 130; r < 256; ++r) set.try_claim(r);
-  EXPECT_EQ(set.next_unclaimed(0), set.count());  // none left
-}
-
 // The batched leftover sweep under contention, mirroring the hybrid
 // runtime's shape: each worker runs the claim loop (Theorem 3 exactly-once
 // + Lemma 4 consecutive-failure bound), then sweeps every block with
@@ -246,7 +233,6 @@ TEST_P(BitmapClaimSweep, TheoremThreeAndLemmaFourSurviveBatchedSweep) {
     }
     EXPECT_EQ(set.claimed_count(), parts);
     EXPECT_TRUE(set.all_claimed());
-    EXPECT_EQ(set.next_unclaimed(0), parts);
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_LE(stats[static_cast<std::size_t>(t)].max_consec_failures,
                 set.log2_count())

@@ -1,8 +1,9 @@
-// The lazy range-splitting path: the range_slot protocol itself (two-word
-// split/hi layout with full 64-bit spans, owner reserve, thief half-steal,
-// close/drain), raw concurrent exactly-once stress (owner advancing at lo
-// vs thief CAS at split — the TSAN target), including a >2^31-iteration
-// span and a split floor the owner lowers mid-span, the scheduler
+// The lazy range-splitting path: the range_slot protocol itself (the
+// one-word {split | hi} claims, in units of 2^shift iterations for spans
+// of 2^32 - 1 iterations and more, owner reserve, thief half-steal,
+// close/drain), raw concurrent exactly-once stress (owner CAS at split vs
+// thief CAS at hi — the TSAN target), including spans past 2^31 and 2^32
+// iterations and a split floor the owner lowers mid-span, the scheduler
 // integration (dynamic_ws and hybrid spans, recursive thief splitting,
 // nested loops on the worker's slot stack and its full-stack fallback),
 // the measured split floor (a heavy tail splits below the grain, a cheap
@@ -132,8 +133,9 @@ TEST(RangeSlot, MaxSpanBoundaryOpens) {
   EXPECT_TRUE(slot.close());
 }
 
-// A span beyond the old packed-word limit (2^31) opens directly — no
-// eager-bisection prefix any more — and steals carry 64-bit offsets.
+// Spans past 2^31 open directly — no eager-bisection prefix — and steals
+// carry 64-bit offsets. Below 2^32 - 1 iterations a unit is one
+// iteration, so the steal takes exactly the upper half.
 TEST(RangeSlot, WideSpanOpensAndSteals) {
   constexpr std::int64_t kWide = (std::int64_t{1} << 31) + 12345;
   rt::range_slot slot;
@@ -142,6 +144,27 @@ TEST(RangeSlot, WideSpanOpensAndSteals) {
   ASSERT_TRUE(s);
   EXPECT_EQ(s.lo, kWide / 2);
   EXPECT_EQ(s.hi, kWide);
+  EXPECT_TRUE(slot.close());
+
+  // 2^32 + 5 iterations pack as 2^31 + 3 units of two iterations, the
+  // last one partial: the steal splits on a unit boundary, ends at the
+  // span's end, and the owner's reserves stop exactly where it begins.
+  constexpr std::int64_t kBase = -1001;
+  constexpr std::int64_t kShifted = (std::int64_t{1} << 32) + 5;
+  ASSERT_TRUE(slot.open(&marker, &dummy_runner, kBase, kBase + kShifted,
+                        1 << 20));
+  const rt::range_slot::stolen t = slot.try_steal();
+  ASSERT_TRUE(t);
+  EXPECT_EQ((t.lo - kBase) % 2, 0);
+  EXPECT_EQ(t.hi, kBase + kShifted);
+  std::int64_t cur = kBase;
+  for (;;) {
+    const std::int64_t res = slot.reserve(cur);
+    if (res <= cur) break;
+    EXPECT_LE(res, t.lo);
+    cur = res;
+  }
+  EXPECT_EQ(cur, t.lo);
   EXPECT_TRUE(slot.close());
 }
 
@@ -265,15 +288,17 @@ TEST(RangeSlot, ConcurrentFloorLoweringExactlyOnce) {
   split_advance_stress(256, 1, 100);
 }
 
-// The 64-bit stress: the same owner-vs-thieves race over a span wider
-// than the old 2^31 packed-word limit, exercising the full-width offsets
-// of the two-word protocol (also a ThreadSanitizer target). Marking 2^31
-// iterations individually is infeasible, so every thread records the
-// half-open intervals it claimed; once the claimed-iteration counter
-// closes the span, the sorted intervals must tile [0, kWide) exactly —
-// any double-execution shows up as an overlap, any loss as a hole.
+// The 64-bit stress: the same owner-vs-thieves race over spans wider than
+// 2^31 (also a ThreadSanitizer target). 2^31 + 98765 iterations still
+// count one iteration per unit; 2^33 + 98765 counts four (shift 2), the
+// last unit partial. Marking 2^31 iterations individually is infeasible,
+// so every thread records the half-open intervals it claimed; once the
+// claimed-iteration counter closes the span, the sorted intervals must
+// tile [0, wide) exactly — any double-execution shows up as an overlap,
+// any loss as a hole.
 TEST(RangeSlot, ConcurrentWideSpanSplitAdvanceExactlyOnce) {
-  constexpr std::int64_t kWide = (std::int64_t{1} << 31) + 98765;
+  constexpr std::int64_t kWidths[] = {(std::int64_t{1} << 31) + 98765,
+                                      (std::int64_t{1} << 33) + 98765};
   constexpr std::int64_t kGrain = std::int64_t{1} << 16;
   constexpr int kRounds = 5;
   constexpr int kThieves = 3;
@@ -306,34 +331,36 @@ TEST(RangeSlot, ConcurrentWideSpanSplitAdvanceExactlyOnce) {
     });
   }
 
-  for (int round = 0; round < kRounds; ++round) {
-    {
+  for (const std::int64_t wide : kWidths) {
+    for (int round = 0; round < kRounds; ++round) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        intervals.clear();
+      }
+      claimed.store(0, std::memory_order_release);
+      ASSERT_TRUE(slot.open(&marker, &dummy_runner, 0, wide, kGrain));
+      std::int64_t cur = 0;
+      for (;;) {
+        const std::int64_t res = slot.reserve(cur);
+        if (res <= cur) break;
+        record(cur, res);
+        cur = res;
+      }
+      slot.close();
+      while (claimed.load(std::memory_order_acquire) != wide) {
+        std::this_thread::yield();
+      }
       std::lock_guard<std::mutex> lk(mu);
-      intervals.clear();
+      std::sort(intervals.begin(), intervals.end());
+      std::int64_t expect = 0;
+      for (const auto& [lo, hi] : intervals) {
+        ASSERT_EQ(lo, expect) << "width " << wide << " round " << round
+                              << (lo < expect ? ": overlap" : ": hole");
+        ASSERT_GT(hi, lo);
+        expect = hi;
+      }
+      ASSERT_EQ(expect, wide) << "width " << wide << " round " << round;
     }
-    claimed.store(0, std::memory_order_release);
-    ASSERT_TRUE(slot.open(&marker, &dummy_runner, 0, kWide, kGrain));
-    std::int64_t cur = 0;
-    for (;;) {
-      const std::int64_t res = slot.reserve(cur);
-      if (res <= cur) break;
-      record(cur, res);
-      cur = res;
-    }
-    slot.close();
-    while (claimed.load(std::memory_order_acquire) != kWide) {
-      std::this_thread::yield();
-    }
-    std::lock_guard<std::mutex> lk(mu);
-    std::sort(intervals.begin(), intervals.end());
-    std::int64_t expect = 0;
-    for (const auto& [lo, hi] : intervals) {
-      ASSERT_EQ(lo, expect) << "round " << round
-                            << (lo < expect ? ": overlap" : ": hole");
-      ASSERT_GT(hi, lo);
-      expect = hi;
-    }
-    ASSERT_EQ(expect, kWide) << "round " << round;
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : thieves) t.join();

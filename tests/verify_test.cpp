@@ -1,10 +1,10 @@
 // The verification suite: bounded-exhaustive model checks of the shipping
 // protocol cores (claim + bitmap claim flags, ws_deque, range_slot's
-// two-word 64-bit layout, parking and its unpark_n fan-out) against the exact templates the
-// runtime instantiates, plus the negative half of the argument — the
-// deliberately-broken protocol variants that the harness must catch, each
-// with a replayable failing schedule. A harness that cannot detect a
-// reintroduced bug proves nothing by passing.
+// one-word claims, parking and its unpark_n fan-out) against the exact
+// templates the runtime instantiates, plus the negative half of the
+// argument — the deliberately-broken protocol variants that the harness
+// must catch, each with a replayable failing schedule. A harness that
+// cannot detect a reintroduced bug proves nothing by passing.
 //
 // Depth policy: these run in the default ctest pass, so bounds are chosen
 // to finish in well under a minute total. ci.sh's HLS_VERIFY_DEEP=1 sweep
@@ -57,9 +57,9 @@ TEST(VerifyRangeSlot, ExactlyOnceAcrossReopenExhaustiveBound3) {
 }
 
 TEST(VerifyRangeWord, SplitHiHandshakeExactlyOnceExhaustiveBound3) {
-  // The 64-bit two-word layout's announce/re-read vs tentative-CAS/re-read
-  // handshake: exactly-once across owner reserves (including the
-  // loss-retreat) and thief steals (including the abort path).
+  // The one-word claims: exactly-once across owner reserve CASes
+  // (including the retry after a steal) and thief steal CASes (including
+  // the miss after a reserve).
   auto m = make_range_word_model(false);
   const auto res = explore(*m, exhaustive(3));
   EXPECT_TRUE(res.ok) << res.failure;
@@ -171,12 +171,15 @@ TEST(VerifyBroken, RangeSlotCloseWithoutDrainIsCaught) {
                                make_range_slot_model(true), 3);
 }
 
-TEST(VerifyBroken, RangeWordStealWithoutRecheckIsCaught) {
-  // Committing the thief's tentative hi CAS without the Dekker split
-  // re-read lets a steal land after the owner reserved through the
-  // midpoint — a double-executed iteration.
+TEST(VerifyBroken, RangeWordBlindReserveIsCaught) {
+  // A load-then-store reserve writes back the hi a steal lowered between
+  // the two: the owner later reserves the stolen range again — a
+  // double-executed iteration.
   expect_caught_and_replayable(make_range_word_model(true),
                                make_range_word_model(true), 3);
+  const auto res = explore(*make_range_word_model(true), exhaustive(3));
+  EXPECT_NE(res.failure.find("executed 2 times"), std::string::npos)
+      << res.failure;
 }
 
 TEST(VerifyBroken, ClaimBitmapNonAtomicSweepIsCaught) {
