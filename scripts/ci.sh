@@ -32,6 +32,20 @@ echo "== ordlint (memory-ordering contracts)"
 python3 tools/ordlint/ordlint.py --frontend=auto \
   --compile-commands build/compile_commands.json
 
+# One observation seam (docs/observability.md "Where a branch is
+# observed"): the runtime and the policies draw every chaos fault through
+# rt::worker::fault and record every event through worker_state's
+# instant/span calls or telemetry::scoped_span, so no .cpp there may call
+# the injector or the event ring itself.
+echo "== observation seam"
+if grep -nE '\<(fire|maybe_delay|should_throw|emit)\(|\<events_on\(\)' \
+     src/runtime/*.cpp src/sched/*.cpp; then
+  echo "direct injector or event-ring calls above: draw faults with"
+  echo "worker::fault, record events with worker_state::instant/span or"
+  echo "telemetry::scoped_span"
+  exit 1
+fi
+
 ctest --test-dir build --output-on-failure
 # The same suite in parallel, three times over: idle workers that wait on
 # the CPU take CPUs from concurrent test binaries, and a test whose timing
@@ -281,6 +295,14 @@ EOF
 else
   echo "== e2e smoke: $(nproc) CPUs < 4, run.py refuses to run; skipping"
 fi
+
+# The compile-time kill switch (docs/observability.md): with
+# -DHLS_TELEMETRY_EVENTS=OFF every recording call is dead code, and the
+# build must still compile warning-free and pass its suite.
+echo "== telemetry events compiled out"
+cmake -B build-noevents -G Ninja -DHLS_WERROR=ON -DHLS_TELEMETRY_EVENTS=OFF
+cmake --build build-noevents
+ctest --test-dir build-noevents -j"$(nproc)" --output-on-failure
 
 cmake -B build-tsan -G Ninja -DHLS_SANITIZE=thread
 cmake --build build-tsan

@@ -236,16 +236,19 @@ bool injector::should_throw(std::uint32_t w, std::int64_t lo,
   return fire(hook::body_throw, w);
 }
 
-bool injector::maybe_delay(std::uint32_t w) noexcept {
-  return maybe_delay(hook::delay, w);
-}
-
 bool injector::maybe_delay(hook h, std::uint32_t w) noexcept {
   if (cfg_.delay_us > 0 && is_delay_hook(h) && fire(h, w)) {
     std::this_thread::sleep_for(std::chrono::microseconds(cfg_.delay_us));
     return true;
   }
   return false;
+}
+
+bool injector::draw(hook h, std::uint32_t w, std::int64_t lo,
+                    std::int64_t hi) noexcept {
+  if (is_delay_hook(h)) return maybe_delay(h, w);
+  if (h == hook::body_throw) return should_throw(w, lo, hi);
+  return fire(h, w);
 }
 
 std::uint64_t injector::fired_total() const noexcept {

@@ -24,8 +24,8 @@
 //
 // The runtime installs an injector from the HLS_CHAOS environment variable
 // at construction (see config::from_env) or programmatically via
-// runtime::set_chaos; a null injector costs one relaxed pointer load per
-// hook site.
+// runtime::set_chaos. Every hook site draws through rt::worker::fault,
+// which costs one pointer load while no injector is installed.
 #pragma once
 
 #include <array>
@@ -172,18 +172,19 @@ class injector {
   // site inside the chunk matches, or the body_throw rate fires.
   bool should_throw(std::uint32_t w, std::int64_t lo, std::int64_t hi) noexcept;
 
-  // Sleeps cfg.delay_us when the delay hook fires for worker w. Returns
-  // true when the delay actually fired so the hook site can account it
-  // (telemetry faults_injected).
-  bool maybe_delay(std::uint32_t w) noexcept;
-
-  // Same, for an arbitrary member of the delay fault class (delay,
-  // delay_chunk, delay_park).
+  // Sleeps cfg.delay_us when delay-class hook h (delay, delay_chunk,
+  // delay_park) fires for worker w, drawing only when delay_us > 0.
+  // Returns true when the delay fired.
   bool maybe_delay(hook h, std::uint32_t w) noexcept;
 
-  // Total faults fired at hook h / across all hooks (for tests and
-  // reports; telemetry's faults_injected counter tracks the same events
-  // per worker).
+  // The scheduler's one entry (rt::worker::fault): maybe_delay for the
+  // delay class, should_throw on the chunk [lo, hi) for body_throw, fire
+  // for every other hook.
+  bool draw(hook h, std::uint32_t w, std::int64_t lo,
+            std::int64_t hi) noexcept;
+
+  // Total faults fired at hook h / across all hooks: the one tally of
+  // injected faults (tests and reports read it).
   std::uint64_t fired(hook h) const noexcept {
     return fired_[static_cast<unsigned>(h)].load(std::memory_order_relaxed);
   }

@@ -58,7 +58,6 @@ bool board::visit(worker& w) {
     if (rec != nullptr && !rec->finished()) {
       telemetry::bump(w.tel().counters.loop_entries);
       worked = rec->participate(w) || worked;
-      telemetry::bump(w.tel().counters.loop_leaves);
     }
     // release retire pairs with clear()'s acquire drain load.
     sl.readers.fetch_sub(1, std::memory_order_release);

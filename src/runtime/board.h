@@ -63,8 +63,8 @@ class board {
 
   // Publishes a loop; returns the slot to pass to clear(), or -1 when all
   // slots are occupied (deep help-first nesting). An unposted loop is still
-  // correct: the posting worker completes it single-handedly and thieves
-  // can still split its open spans through ordinary steals; only
+  // correct: the poster runs it as a range span, whatever its policy, and
+  // idle peers split that span through ordinary steals; only
   // board-mediated arrival is lost. The record is not owned: it must
   // outlive the matching clear().
   int post(loop_record* rec);

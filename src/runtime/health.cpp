@@ -86,10 +86,9 @@ std::uint32_t health_watchdog::scan() {
       ln.silence_cpu_ns = cpu;
       if (ln.health.load(std::memory_order_relaxed) ==
               worker_health::stalled &&
-          svc.events_on() && ln.stall_started_ns != 0) {
-        svc.emit({ln.stall_started_ns, now - ln.stall_started_ns,
-                  static_cast<std::int64_t>(w), 0,
-                  telemetry::event_kind::stall_span});
+          ln.stall_started_ns != 0) {
+        svc.span(telemetry::event_kind::stall_span, ln.stall_started_ns,
+                 now - ln.stall_started_ns, w, 0);
       }
       ln.stall_started_ns = 0;
       ln.health.store(worker_health::healthy, std::memory_order_relaxed);
@@ -102,10 +101,7 @@ std::uint32_t health_watchdog::scan() {
         ln.health.store(worker_health::stalled, std::memory_order_relaxed);
         ln.stall_started_ns = now >= ln.silent_ns ? now - ln.silent_ns : 0;
         telemetry::bump(svc.counters.stalls_detected);
-        if (svc.events_on()) {
-          svc.emit({now, 0, static_cast<std::int64_t>(w), 0,
-                    telemetry::event_kind::stall_span});
-        }
+        svc.span(telemetry::event_kind::stall_span, now, 0, w, 0);
       }
       ++stalled;
       rescue_needed = true;

@@ -110,7 +110,6 @@ runtime::runtime(const runtime_options& opt)
   }
   active_workers_.store(requested, std::memory_order_relaxed);
   threads_.reserve(requested - 1);
-  faultsim::injector* inj = chaos();
   for (std::uint32_t i = 1; i < requested; ++i) {
     // Graceful degradation: a spawn failure (resource exhaustion, or the
     // faultsim thread_spawn hook standing in for one) shrinks the team to
@@ -119,8 +118,7 @@ runtime::runtime(const runtime_options& opt)
     // worker objects stay allocated (already-running workers may be
     // mid-scan over them) but hold no work and are never victims again
     // once active_workers_ shrinks.
-    bool failed =
-        inj != nullptr && inj->fire(faultsim::hook::thread_spawn, 0);
+    bool failed = workers_[0]->fault(faultsim::hook::thread_spawn);
     if (!failed) {
       try {
         threads_.emplace_back([this, i] { worker_main(i); });
@@ -133,9 +131,6 @@ runtime::runtime(const runtime_options& opt)
       // The constructing thread IS worker 0, so its counter lane is ours
       // to bump (single-writer rule).
       telemetry::bump(tel_.of(0).counters.degraded_workers, requested - i);
-      if (inj != nullptr) {
-        telemetry::bump(tel_.of(0).counters.faults_injected);
-      }
       std::fprintf(stderr,
                    "hls: worker thread %u failed to spawn; running degraded "
                    "with %u of %u workers\n",
@@ -220,7 +215,7 @@ void runtime::notify_all() noexcept {
   parking_.unpark_all();
 }
 
-bool runtime::work_visible(std::uint32_t self) const noexcept {
+bool runtime::work_visible() const noexcept {
   if (board_.any_open()) return true;
   for (std::uint32_t i = 0; i < workers_.size(); ++i) {
     // The caller's own deque is included: a chaos-skipped pop leaves a
@@ -238,7 +233,6 @@ bool runtime::work_visible(std::uint32_t self) const noexcept {
     // would-be sleeper's re-check honest — any worker can poach it.
     if (handoff_[i].full()) return true;
   }
-  (void)self;
   return false;
 }
 
@@ -254,7 +248,7 @@ runtime::park_outcome runtime::idle_park(worker& w, park_predicate done) {
   // completion broadcast (loop retire / task_group drain) publishes no new
   // work, so a broadcast landing just before the announcement is visible
   // only through the predicate itself.
-  if (stopping() || work_visible(w.id()) || done.satisfied()) {
+  if (stopping() || work_visible() || done.satisfied()) {
     parking_.cancel_park(w.id());
     return {false, parking_lot::wake_reason::notified};
   }

@@ -17,15 +17,13 @@
 
 #include <string>
 
+#include "faultsim/faultsim.h"
 #include "runtime/board.h"
 #include "runtime/handoff.h"
 #include "runtime/parking.h"
 #include "runtime/worker.h"
 #include "telemetry/registry.h"
 
-namespace hls::faultsim {
-class injector;
-}
 namespace hls {
 class cli;
 }
@@ -187,7 +185,7 @@ class runtime {
   // estimates); used by the idle path's choice between an on-CPU backoff
   // nap and a park, its check-then-park re-check and the spurious-wake
   // accounting, never for correctness of work distribution itself.
-  bool work_visible(std::uint32_t self) const noexcept;
+  bool work_visible() const noexcept;
 
   // The parking subsystem (exposed for tests and diagnostics).
   parking_lot& parking() noexcept { return parking_; }
@@ -217,8 +215,8 @@ class runtime {
   const telemetry::registry& tel() const noexcept { return tel_; }
 
   // ---- fault injection (faultsim/faultsim.h) ------------------------
-  // The installed chaos injector, or nullptr (the common case: one relaxed
-  // load per hook site). Hot paths call this directly.
+  // The installed chaos injector, or nullptr (the common case: one
+  // pointer load per hook site). Fault sites draw through worker::fault.
   faultsim::injector* chaos() const noexcept {
     return chaos_.load(std::memory_order_acquire);
   }
@@ -262,5 +260,11 @@ class runtime {
   std::mutex orphan_mu_;
   std::exception_ptr orphan_;
 };
+
+inline bool worker::fault(faultsim::hook h, std::int64_t lo,
+                          std::int64_t hi) noexcept {
+  faultsim::injector* c = rt_.chaos();
+  return c != nullptr && c->draw(h, id_, lo, hi);
+}
 
 }  // namespace hls::rt

@@ -81,23 +81,18 @@ handoff_slot* worker::claim_handoff_target(std::uint32_t* target_out) {
 // payload copied to *back for the caller to run.
 bool worker::deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
                                 std::int64_t iters, handoff_item* back) {
-  if (faultsim::injector* c = rt_.chaos();
-      c != nullptr && c->fire(faultsim::hook::handoff_drop, id_)) {
+  if (fault(faultsim::hook::handoff_drop)) {
     // Injected dropped handoff: the wake is swallowed AND the donor
     // forgets to reclaim — the payload is stranded in the mailbox. The
     // no-lost-work guarantee now rests on the sweep paths (work_visible
     // keeps would-be sleepers honest; steal rounds poach full mailboxes),
     // which is exactly what the chaos sweep in handoff_test asserts.
-    telemetry::bump(tel_.counters.faults_injected);
     return true;
   }
   if (rt_.parking().unpark_at(target)) {
     telemetry::bump(tel_.counters.wakes_sent);
     telemetry::bump(tel_.counters.handoffs_sent);
-    if (tel_.events_on()) {
-      tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(target), iters,
-                 telemetry::event_kind::handoff});
-    }
+    tel_.instant(telemetry::event_kind::handoff, target, iters);
     return true;
   }
   // The targeted wake failed (the peer raced into activity or already
@@ -109,10 +104,7 @@ bool worker::deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
   }
   // Lost the reclaim race: someone is already executing the payload.
   telemetry::bump(tel_.counters.handoffs_sent);
-  if (tel_.events_on()) {
-    tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(target), iters,
-               telemetry::event_kind::handoff});
-  }
+  tel_.instant(telemetry::event_kind::handoff, target, iters);
   return true;
 }
 
@@ -151,36 +143,28 @@ std::int64_t worker::cpu_time_ns() const noexcept {
 }
 
 task* worker::pop_local() {
-  if (faultsim::injector* c = rt_.chaos();
-      c != nullptr && c->fire(faultsim::hook::deque_pop, id_)) {
-    // Skipped, not lost: the task stays queued for the next pop or a thief.
-    telemetry::bump(tel_.counters.faults_injected);
-    return nullptr;
-  }
+  // A fired fault skips the pop, and the task stays queued for the next
+  // pop or a thief.
+  if (fault(faultsim::hook::deque_pop)) return nullptr;
   return deque_.pop();
 }
 
 void worker::run(task* t) {
   telemetry::bump(tel_.counters.tasks_run);
-  // Last-resort exception boundary: loop chunks and task_group callables
-  // catch their own exceptions, so anything arriving here escaped a raw
-  // task's execute(). Swallowing it would lose it and rethrowing would
-  // kill the worker thread (std::terminate); instead it parks on the
-  // runtime for take_orphan_exception() and the worker survives.
-  const auto guarded = [&] {
+  {
+    const telemetry::scoped_span span(tel_, telemetry::event_kind::task_span,
+                                      0, 0);
+    // Last-resort exception boundary: loop chunks and task_group callables
+    // catch their own exceptions, so anything arriving here escaped a raw
+    // task's execute(). Swallowing it would lose it and rethrowing would
+    // kill the worker thread (std::terminate); instead it parks on the
+    // runtime for take_orphan_exception() and the worker survives.
     try {
       t->execute(*this);
     } catch (...) {
       telemetry::bump(tel_.counters.exceptions_caught);
       rt_.capture_orphan(std::current_exception());
     }
-  };
-  if (tel_.events_on()) {
-    const std::uint64_t t0 = tel_.now();
-    guarded();
-    tel_.emit({t0, tel_.now() - t0, 0, 0, telemetry::event_kind::task_span});
-  } else {
-    guarded();
   }
   delete t;
 }
@@ -189,10 +173,7 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
                                           park_predicate done) {
   const std::uint32_t p = rt_.num_workers();
   if (p <= 1) return round_end::miss;
-  faultsim::injector* chaos = rt_.chaos();
-  if (chaos != nullptr && chaos->maybe_delay(id_)) {
-    telemetry::bump(tel_.counters.faults_injected);
-  }
+  fault(faultsim::hook::delay);
   const board& brd = rt_.loop_board();
   const std::uint64_t t0 = tel_.now();
   std::uint64_t probes = 0;
@@ -225,11 +206,8 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
       return true;
     }
     ++probes;
-    if (chaos != nullptr && chaos->fire(faultsim::hook::steal_probe, id_)) {
-      // Forced empty probe: counts as a miss, the victim keeps its task.
-      telemetry::bump(tel_.counters.faults_injected);
-      return false;
-    }
+    // A forced empty probe counts as a miss; the victim keeps its task.
+    if (fault(faultsim::hook::steal_probe)) return false;
     // The victim's range slots outrank its deque: stealing half of a live
     // span is one CAS, no allocation, and seeds this worker's own slot
     // (recursive splitting). The open slots are a prefix of the stack, so
@@ -239,17 +217,12 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
     for (std::uint32_t i = 0; i < kSpanSlots; ++i) {
       range_slot& rs = victim.range(i);
       if (!rs.looks_open()) break;
-      if (chaos != nullptr &&
-          chaos->fire(faultsim::hook::range_steal, id_)) {
-        // Forced failed split CAS: the span stays whole for the owner.
-        telemetry::bump(tel_.counters.faults_injected);
-      } else if (range_slot::stolen s = rs.try_steal()) {
+      // A forced failed split CAS leaves the span whole for the owner.
+      if (fault(faultsim::hook::range_steal)) continue;
+      if (range_slot::stolen s = rs.try_steal()) {
         settle(round_end::hit);
         telemetry::bump(tel_.counters.range_steals);
-        if (tel_.events_on()) {
-          tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
-                     s.hi - s.lo, telemetry::event_kind::range_steal});
-        }
+        tel_.instant(telemetry::event_kind::range_steal, v, s.hi - s.lo);
         s.run(*this, s.ctx, s.lo, s.hi);
         return true;
       }
@@ -257,11 +230,8 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
     if (task* t = victim.deque().steal()) {
       settle(round_end::hit);
       telemetry::bump(tel_.counters.steals);
-      if (tel_.events_on()) {
-        tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
-                   static_cast<std::int64_t>(probes),
-                   telemetry::event_kind::steal});
-      }
+      tel_.instant(telemetry::event_kind::steal, v,
+                   static_cast<std::int64_t>(probes));
       run(t);
       return true;
     }
@@ -336,14 +306,10 @@ void worker::pause(int idle_count, park_predicate done) {
   } else if (idle_count < 16) {
     std::this_thread::yield();
   } else {
-    if (faultsim::injector* c = rt_.chaos();
-        c != nullptr && c->maybe_delay(faultsim::hook::delay_park, id_)) {
-      // Injected pre-park preemption (the delay fault class).
-      telemetry::bump(tel_.counters.faults_injected);
-    }
+    fault(faultsim::hook::delay_park);  // an injected pre-park preemption
     // Visible work this worker failed to get: the loop it waits on is
     // still open, so wait on the CPU for the next post rather than park.
-    if (rt_.work_visible(id_)) {
+    if (rt_.work_visible()) {
       backoff_nap(done);
       return;
     }
@@ -366,7 +332,7 @@ void worker::pause(int idle_count, park_predicate done) {
     // before this worker arrived; tracked so wake efficiency is
     // observable. A wake that delivered a completion edge (the caller's
     // predicate now holds) did its job and is not spurious.
-    if (notified && !rt_.work_visible(id_) && !done.satisfied()) {
+    if (notified && !rt_.work_visible() && !done.satisfied()) {
       telemetry::bump(tel_.counters.wakes_spurious);
     }
     // Arm the wake-to-first-chunk measurement: a notified unpark that did
@@ -380,10 +346,7 @@ void worker::pause(int idle_count, park_predicate done) {
     } else {
       tel_.clear_pending_wake();
     }
-    if (tel_.events_on()) {
-      tel_.emit({t0, dt, notified ? 1 : 0, 0,
-                 telemetry::event_kind::idle_span});
-    }
+    tel_.span(telemetry::event_kind::idle_span, t0, dt, notified ? 1 : 0, 0);
   }
 }
 

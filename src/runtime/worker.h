@@ -19,6 +19,10 @@
 #include "util/cacheline.h"
 #include "util/rng.h"
 
+namespace hls::faultsim {
+enum class hook : unsigned;
+}
+
 namespace hls::rt {
 
 class runtime;
@@ -68,6 +72,14 @@ class worker {
   // This worker's telemetry state: counters, histograms, event ring.
   telemetry::worker_state& tel() noexcept { return tel_; }
   const telemetry::worker_state& tel() const noexcept { return tel_; }
+
+  // Draws the chaos fault at hook h on this worker's stream
+  // (faultsim/faultsim.h) and returns whether it fired; a delay-class
+  // hook has slept by then. body_throw tests the chunk [lo, hi). Every
+  // fault site in the runtime and the policies calls this; with no
+  // injector installed it is one pointer load. Defined in runtime.h.
+  bool fault(faultsim::hook h, std::int64_t lo = 0,
+             std::int64_t hi = 0) noexcept;
 
   // Pushes a task onto this worker's own deque (owner thread only) and
   // wakes one sleeping thief.

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <variant>
 
 #include "faultsim/faultsim.h"
@@ -18,35 +17,6 @@
 namespace hls {
 
 namespace {
-
-// Records one loop span on the posting worker (emitted from the
-// destructor so every exit path, including exception rethrow, is
-// covered). Inactive unless event tracing is on.
-class loop_span_guard {
- public:
-  loop_span_guard(rt::runtime& rt, rt::worker& me, policy pol,
-                  const loop_options& opt, std::int64_t n)
-      : tel_(me.tel()), active_(tel_.events_on()), n_(n) {
-    if (!active_) return;
-    label_id_ = rt.tel().intern_label(
-        opt.site != nullptr && opt.site->name != nullptr ? opt.site->name
-                                                         : policy_name(pol));
-    t0_ = tel_.now();
-  }
-
-  ~loop_span_guard() {
-    if (!active_) return;
-    tel_.emit({t0_, tel_.now() - t0_, label_id_, n_,
-               telemetry::event_kind::loop_span});
-  }
-
- private:
-  telemetry::worker_state& tel_;
-  const bool active_;
-  std::int64_t label_id_ = 0;
-  std::int64_t n_;
-  std::uint64_t t0_ = 0;
-};
 
 void validate_options(const loop_options& opt) {
   if (opt.grain < 0) {
@@ -149,7 +119,14 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   rt::worker& me = *me_ptr;
 
   telemetry::bump(me.tel().counters.loops_posted);
-  loop_span_guard span(rt, me, pol, opt, n);
+  // The loop's span on the posting worker, recorded on every exit path,
+  // an exception's included; labelled with the site name, else the policy.
+  const telemetry::scoped_span span(
+      me.tel(), telemetry::event_kind::loop_span,
+      me.tel().trace_label(opt.site != nullptr && opt.site->name != nullptr
+                               ? opt.site->name
+                               : policy_name(pol)),
+      n);
 
   const std::atomic<bool>* cancel_flag = opt.cancel.flag();
   const bool stop_hazards =
@@ -225,41 +202,23 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
       }
     }
 
-    if (faultsim::injector* chaos = rt.chaos();
-        chaos != nullptr &&
-        chaos->fire(faultsim::hook::board_post, me.id())) {
-      // Forced board overflow: exercises the same degraded path a full
-      // board takes, without needing kSlots concurrent loops.
-      telemetry::bump(me.tel().counters.faults_injected);
-    } else {
-      slot = rt.loop_board().post(rec);
-    }
-    // An unposted record is invisible to peers, so it wakes nobody.
+    // A fired board_post fault takes the path a full board takes,
+    // without needing kSlots concurrent loops.
+    slot = me.fault(faultsim::hook::board_post) ? -1
+                                                : rt.loop_board().post(rec);
     if (slot >= 0) {
       const auto team =
           static_cast<std::uint32_t>(std::min<std::int64_t>(units, p));
       rt.notify_work(team - 1);
-    }
-    probe.setup_done();
-    if (slot < 0 && pol == policy::static_part) {
-      // Board overflow: strict static needs every worker to arrive, which
-      // cannot be guaranteed without a slot. Degrade to executing the
-      // whole range on the posting worker (correctness over placement).
-      ctx.run_chunk(me, begin, end);
-    } else if (slot < 0) {
-      // No slot means no other worker can discover this record, so the
-      // posting worker must drive it to completion itself. One
-      // participate() call is not enough: under chaos a forced peek
-      // failure can make it return without doing anything, so loop until
-      // the record drains (try_progress keeps ranges stolen from hybrid
-      // partitions moving).
-      while (!ctx.finished()) {
-        if (!rec->participate(me) && !me.try_progress()) {
-          std::this_thread::yield();
-        }
-      }
-    } else {
+      probe.setup_done();
       rec->participate(me);
+    } else {
+      // Board overflow: no peer can discover the record, for any policy,
+      // so the poster runs the loop as a range span instead. Idle peers
+      // split it through ordinary steals, and the span runs every
+      // iteration exactly once.
+      probe.setup_done();
+      sched::range_span::run(me, &ctx, begin, end);
     }
   }
   probe.work_done();

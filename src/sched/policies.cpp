@@ -35,13 +35,13 @@ void loop_ctx::run_body(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   telemetry::worker_state& tel = w.tel();
   // Chunk timing needs two clock reads, so it only runs in event-tracing
   // mode; the always-on path is pure relaxed counter stores.
-  const bool timed = tel.events_on();
-  const std::uint64_t t0 = timed ? tel.now() : 0;
+  const telemetry::scoped_span span(tel, telemetry::event_kind::chunk_span, lo,
+                                    hi, &tel.chunk_ns_hist);
   // First chunk after a notified unpark closes the wake-to-first-chunk
   // interval. The pending flag is owner-thread-only and almost always
   // clear, so this costs one predictable branch; the clock read happens
-  // only on the rare armed path (or reuses t0 when tracing already read it).
-  if (tel.wake_pending()) tel.note_chunk_started(timed ? t0 : tel.now());
+  // only on the rare armed path.
+  if (tel.wake_pending()) tel.note_chunk_started(tel.now());
   // Drain mode: once a body has thrown or the loop was cancelled / timed
   // out, remaining chunks skip their bodies but are still retired by the
   // caller, so the loop terminates and claim accounting stays consistent.
@@ -49,16 +49,11 @@ void loop_ctx::run_body(rt::worker& w, std::int64_t lo, std::int64_t hi) {
       failed.load(std::memory_order_acquire) || stop_requested(w);
   if (!skip) {
     try {
-      if (faultsim::injector* c = w.rt().chaos(); c != nullptr) {
-        // Injected straggler: a body-blocked worker holding claimed work
-        // (the delay_chunk fault class; see the stall sweep tests).
-        if (c->maybe_delay(faultsim::hook::delay_chunk, w.id())) {
-          telemetry::bump(tel.counters.faults_injected);
-        }
-        if (c->should_throw(w.id(), lo, hi)) {
-          telemetry::bump(tel.counters.faults_injected);
-          throw faultsim::injected_fault(w.id(), lo, hi);
-        }
+      // Injected straggler: a body-blocked worker holding claimed work
+      // (the delay_chunk fault class; see the stall sweep tests).
+      w.fault(faultsim::hook::delay_chunk);
+      if (w.fault(faultsim::hook::body_throw, lo, hi)) {
+        throw faultsim::injected_fault(w.id(), lo, hi);
       }
       body(lo, hi);
       if (trace != nullptr) trace->record(w.id(), lo, hi);
@@ -75,11 +70,6 @@ void loop_ctx::run_body(rt::worker& w, std::int64_t lo, std::int64_t hi) {
     telemetry::bump(tel.counters.cancelled_chunks);
   }
   telemetry::bump(tel.counters.chunks_run);
-  if (timed) {
-    const std::uint64_t dt = tel.now() - t0;
-    tel.chunk_ns_hist.record(dt);
-    tel.emit({t0, dt, lo, hi, telemetry::event_kind::chunk_span});
-  }
 }
 
 void loop_ctx::run_body_measured(rt::worker& w, std::int64_t lo,
@@ -274,9 +264,9 @@ hybrid_record::hybrid_record(loop_ctx& ctx, std::uint32_t partitions,
 void hybrid_record::execute_partition(rt::worker& w, std::uint64_t r) {
   const core::iter_range rg = parts_.range(r);
   if (rg.empty()) return;
-  telemetry::worker_state& tel = w.tel();
-  const bool timed = tel.events_on();
-  const std::uint64_t t0 = timed ? tel.now() : 0;
+  const telemetry::scoped_span span(
+      w.tel(), telemetry::event_kind::partition_span,
+      static_cast<std::int64_t>(r), 0);
   // doWork (paper Alg. 3 lines 11/17): a stealable parallel loop over the
   // partition, so stragglers inside a partition are balanced by
   // stealing — lazily split via the worker's range slot (thieves CAS off
@@ -285,10 +275,6 @@ void hybrid_record::execute_partition(rt::worker& w, std::uint64_t r) {
   // worker finishes it depth-first before the next claim, as continuation
   // stealing would.
   range_span::run(w, &ctx_, rg.begin, rg.end);
-  if (timed) {
-    tel.emit({t0, tel.now() - t0, static_cast<std::int64_t>(r), 0,
-              telemetry::event_kind::partition_span});
-  }
 }
 
 namespace {
@@ -300,17 +286,10 @@ namespace {
 // real fetch_or.
 struct chaos_claim_flags {
   core::partition_set::flags_adapter inner;
-  faultsim::injector* chaos;
-  std::uint32_t worker;
-  telemetry::worker_state* tel;
+  rt::worker& w;
 
   bool test_and_set(std::uint64_t r) noexcept {
-    if (chaos != nullptr &&
-        chaos->fire(faultsim::hook::claim_fail, worker)) {
-      telemetry::bump(tel->counters.faults_injected);
-      return true;
-    }
-    return inner.test_and_set(r);
+    return w.fault(faultsim::hook::claim_fail) || inner.test_and_set(r);
   }
 };
 
@@ -350,28 +329,20 @@ bool hybrid_record::participate(rt::worker& w) {
   const bool sweep_leftovers =
       (chaos != nullptr && chaos->cfg().claims_active()) ||
       rescue_armed_.load(std::memory_order_acquire);
-  if (chaos != nullptr && chaos->maybe_delay(w.id())) {
-    telemetry::bump(tel.counters.faults_injected);
-  }
+  w.fault(faultsim::hook::delay);
   // DoHybridLoop steal protocol: a worker arriving at the loop first checks
   // its designated starting partition r = w XOR 0; if that partition is
   // claimed it reverts to ordinary randomized work stealing. When fewer
   // partitions than workers are requested, worker IDs wrap modulo R.
   const std::uint64_t designated =
       core::claim_cursor(w.id(), parts_.count()).target();
-  bool observed_claimed = parts_.is_claimed(designated);
-  if (!observed_claimed && chaos != nullptr &&
-      chaos->fire(faultsim::hook::claim_peek, w.id())) {
-    telemetry::bump(tel.counters.faults_injected);
-    observed_claimed = true;
-  }
-  if (observed_claimed) {
+  // A fired claim_peek fault reads an unclaimed partition as claimed.
+  if (parts_.is_claimed(designated) ||
+      w.fault(faultsim::hook::claim_peek)) {
     // Observed-claimed designated partition: the Alg. 3 line 14 exit.
     telemetry::bump(tel.counters.claims_failed);
-    if (tel.events_on()) {
-      tel.emit({tel.now(), 0, static_cast<std::int64_t>(designated), 0,
-                telemetry::event_kind::claim_fail});
-    }
+    tel.instant(telemetry::event_kind::claim_fail,
+                static_cast<std::int64_t>(designated), 0);
     // Under claim chaos or an armed rescue the "designated claimed => my
     // subtree is covered" implication no longer holds, so leftovers must
     // be swept here too — otherwise a loop whose every designated
@@ -380,21 +351,17 @@ bool hybrid_record::participate(rt::worker& w) {
     return false;
   }
 
-  auto inner = parts_.flags();
-  chaos_claim_flags flags{inner, chaos, w.id(), &tel};
-  const bool traced = tel.events_on();
+  chaos_claim_flags flags{parts_.flags(), w};
   const core::claim_stats st = core::run_claim_loop(
       w.id(), parts_.count(), flags,
       [&](std::uint64_t r, std::uint64_t /*index*/) {
         execute_partition(w, r);
       },
       [&](std::uint64_t r, std::uint64_t index, bool ok) {
-        if (traced) {
-          tel.emit({tel.now(), 0, static_cast<std::int64_t>(r),
-                    static_cast<std::int64_t>(index),
-                    ok ? telemetry::event_kind::claim_ok
-                       : telemetry::event_kind::claim_fail});
-        }
+        tel.instant(ok ? telemetry::event_kind::claim_ok
+                       : telemetry::event_kind::claim_fail,
+                    static_cast<std::int64_t>(r),
+                    static_cast<std::int64_t>(index));
       });
   // Counter rollup + live Lemma 4 check on the completed claim sequence.
   // Injected failures count as failures here on purpose: the lg R + 1

@@ -25,7 +25,6 @@
   X(steal_latency_ns, "time from steal-round start to acquisition, ns")  \
   X(board_participations, "board visits that did work")                  \
   X(loop_entries, "arrivals at a posted loop record")                    \
-  X(loop_leaves, "departures from a posted loop record")                 \
   X(loops_posted, "parallel loops posted by this worker")                \
   X(chunks_run, "loop body chunks executed")                             \
   X(claims_ok, "successful hybrid partition claims")                     \
@@ -43,7 +42,6 @@
                    "steal (the zero-overhead fast path)")                \
   X(cancelled_chunks, "chunks skipped by cancellation/deadline/drain")   \
   X(exceptions_caught, "exceptions captured at task/chunk boundaries")   \
-  X(faults_injected, "faults injected by the chaos layer (faultsim)")    \
   X(deadline_expirations, "loops stopped by an expired deadline")        \
   X(stalls_detected, "workers the watchdog classified as stalled "       \
                      "(healthy->stalled transitions)")                    \

@@ -72,17 +72,38 @@ struct worker_state {
   std::uint32_t worker_id() const noexcept { return id_; }
 
   // True when event tracing is enabled (constant false under the
-  // compile-time kill switch). Call once per recording site and skip the
-  // clock reads and the emit when off.
+  // compile-time kill switch).
   bool events_on() const noexcept;  // defined after registry
 
   // Nanoseconds since the registry epoch.
   std::uint64_t now() const noexcept { return steady_now_ns() - epoch_ns_; }
 
-  // Owner thread only; call only when events_on().
+  // Owner thread only. The raw ring write under the recording calls below.
   void emit(const event& e) noexcept {
     if (event_ring* r = ring_.load(std::memory_order_relaxed)) r->emit(e);
   }
+
+  // ---- recording (owner thread only) ---------------------------------
+  // The scheduler records every event through these calls and
+  // scoped_span: each tests events_on() once and reads the clock only
+  // when it holds, so a site costs one flag load while tracing is off and
+  // is dead code under the compile-time kill switch.
+
+  // An instant event at the current time.
+  void instant(event_kind k, std::int64_t a, std::int64_t b) noexcept {
+    if (events_on()) emit({now(), 0, a, b, k});
+  }
+
+  // A span the caller has timed already (its clock reads serve a counter
+  // too): starts at ts_ns, lasts dur_ns; dur_ns == 0 is an instant.
+  void span(event_kind k, std::uint64_t ts_ns, std::uint64_t dur_ns,
+            std::int64_t a, std::int64_t b) noexcept {
+    if (events_on()) emit({ts_ns, dur_ns, a, b, k});
+  }
+
+  // The id of a span label, interned only while tracing is on (0, "no
+  // label", otherwise), so an untraced loop takes no lock.
+  std::int64_t trace_label(const char* name);  // defined after registry
 
   // Records one completed pass through the hybrid claim loop: updates the
   // claim counters/histogram and runs the live Lemma 4 check.
@@ -262,6 +283,41 @@ class registry {
 inline bool worker_state::events_on() const noexcept {
   return owner_ != nullptr && owner_->events_enabled();
 }
+
+inline std::int64_t worker_state::trace_label(const char* name) {
+  return events_on() ? owner_->intern_label(name) : 0;
+}
+
+// Times its scope on one worker and records it as a span event (kind, a,
+// b), and its length into `hist` when one is given. While tracing is off
+// it reads no clock and records nothing. Recording in the destructor
+// covers every exit, an exception's included.
+class scoped_span {
+ public:
+  scoped_span(worker_state& tel, event_kind k, std::int64_t a,
+              std::int64_t b, pow2_histogram* hist = nullptr) noexcept
+      : tel_(tel.events_on() ? &tel : nullptr), hist_(hist), a_(a), b_(b),
+        kind_(k) {
+    if (tel_ != nullptr) t0_ = tel_->now();
+  }
+  ~scoped_span() {
+    if (tel_ == nullptr) return;
+    const std::uint64_t dt = tel_->now() - t0_;
+    if (hist_ != nullptr) hist_->record(dt);
+    tel_->emit({t0_, dt, a_, b_, kind_});
+  }
+
+  scoped_span(const scoped_span&) = delete;
+  scoped_span& operator=(const scoped_span&) = delete;
+
+ private:
+  worker_state* const tel_;  // nullptr while tracing is off
+  pow2_histogram* const hist_;
+  const std::int64_t a_;
+  const std::int64_t b_;
+  const event_kind kind_;
+  std::uint64_t t0_ = 0;
+};
 
 inline void worker_state::note_claim_sequence(
     std::uint64_t successes, std::uint64_t failures,

@@ -8,10 +8,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "faultsim/faultsim.h"
 #include "sched/loop.h"
+#include "sched/task_group.h"
 #include "util/bits.h"
 
 namespace hls {
@@ -42,14 +44,16 @@ void assert_exactly_once(rt::runtime& rt, policy pol, std::uint64_t seed) {
 
 TEST(ChaosSched, HybridIsExactlyOnceAcross200Seeds) {
   rt::runtime rt(kWorkers);
+  std::uint64_t faults = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    rt.set_chaos(std::make_shared<faultsim::injector>(
-        faultsim::config::default_mix(seed), kWorkers));
+    auto inj = std::make_shared<faultsim::injector>(
+        faultsim::config::default_mix(seed), kWorkers);
+    rt.set_chaos(inj);
     assert_exactly_once(rt, policy::hybrid, seed);
+    faults += inj->fired_total();
   }
-  const telemetry::counter_set total = rt.tel().totals();
   // The chaos layer actually perturbed the run...
-  EXPECT_GT(total.faults_injected, 0u);
+  EXPECT_GT(faults, 0u);
   // ...and Lemma 4 survived every injected claim failure: the bound is
   // structural (each consecutive failure strictly raises lsb(i)), so no
   // failure pattern — real or injected — can exceed lg R + 1.
@@ -128,6 +132,63 @@ TEST(ChaosSched, ForcedBoardOverflowStillCompletes) {
       assert_exactly_once(rt, pol, seed);
     }
   }
+}
+
+// Every fault site is still reached: a refactor that drops a site's draw
+// keeps every exactly-once test green, so this one counts draws instead.
+// Each seed runs the default mix (which leaves body_throw at 0) plus one
+// throw_at site over the five parallel policies and a task_group, until
+// every hook has fired. thread_spawn (degrade_test) and handoff_drop
+// (RuntimeHandoff.ChaosHandoffDropKeepsExactlyOnce200Seeds) have their own
+// tests.
+TEST(ChaosSched, EveryHookSiteFires) {
+  using faultsim::hook;
+  constexpr hook kHooks[] = {hook::claim_peek,  hook::claim_fail,
+                             hook::steal_probe, hook::deque_pop,
+                             hook::board_post,  hook::body_throw,
+                             hook::delay,       hook::range_steal,
+                             hook::delay_chunk, hook::delay_park};
+  constexpr policy kPolicies[] = {policy::static_part, policy::dynamic_shared,
+                                  policy::guided, policy::dynamic_ws,
+                                  policy::hybrid};
+  rt::runtime rt(kWorkers);
+  std::uint64_t fired[faultsim::kNumHooks] = {};
+  const auto missing = [&] {
+    std::string names;
+    for (hook h : kHooks) {
+      if (fired[static_cast<unsigned>(h)] == 0) {
+        names += std::string(names.empty() ? "" : ", ") +
+                 faultsim::hook_name(h);
+      }
+    }
+    return names;
+  };
+  for (std::uint64_t seed = 1; seed <= 200 && !missing().empty(); ++seed) {
+    faultsim::config cfg = faultsim::config::default_mix(seed);
+    cfg.throw_at.push_back({faultsim::config::kAnyWorker, kN / 2});
+    auto inj = std::make_shared<faultsim::injector>(cfg, kWorkers);
+    rt.set_chaos(inj);
+    loop_options opt;
+    opt.partitions = kPartitions;
+    for (policy pol : kPolicies) {
+      EXPECT_THROW(parallel_for(rt, 0, kN, pol,
+                                [](std::int64_t, std::int64_t) {}, opt),
+                   faultsim::injected_fault)
+          << policy_name(pol) << " seed " << seed;
+    }
+    std::atomic<int> ran{0};
+    task_group tg(rt);
+    for (int t = 0; t < 16; ++t) {
+      tg.spawn([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    tg.wait();
+    EXPECT_EQ(ran.load(), 16) << "seed " << seed;
+    for (hook h : kHooks) {
+      fired[static_cast<unsigned>(h)] += inj->fired(h);
+    }
+  }
+  rt.set_chaos(nullptr);
+  EXPECT_EQ(missing(), "") << "hooks that never fired in 200 seeds";
 }
 
 TEST(ChaosSched, EnvSpecInstallsInjectorAtConstruction) {

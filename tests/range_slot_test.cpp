@@ -657,6 +657,7 @@ TEST(RangeSpanChaos, ExactlyOnceAcross200Seeds) {
   loop_options opt;
   opt.partitions = kPartitions;
   opt.grain = 4;  // fine grain: many chunks per span, many steal windows
+  std::uint64_t faults = 0;
   std::uint64_t range_faults = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     auto inj = std::make_shared<faultsim::injector>(
@@ -664,11 +665,11 @@ TEST(RangeSpanChaos, ExactlyOnceAcross200Seeds) {
     rt.set_chaos(inj);
     assert_exactly_once(rt, policy::dynamic_ws, 512, opt);
     assert_exactly_once(rt, policy::hybrid, 512, opt);
+    faults += inj->fired_total();
     range_faults += inj->fired(faultsim::hook::range_steal);
   }
   rt.set_chaos(nullptr);
-  const telemetry::counter_set total = rt.tel().totals();
-  EXPECT_GT(total.faults_injected, 0u);
+  EXPECT_GT(faults, 0u);
   // The new hook actually perturbed range steals somewhere in the sweep.
   EXPECT_GT(range_faults, 0u);
   const std::uint64_t bound = ceil_log2(kPartitions) + 1;

@@ -190,7 +190,7 @@ TEST(Runtime, IdleParkBailsOutWhenBoardIsOpen) {
   never_done rec;
   const int slot = rt.loop_board().post(&rec);
   ASSERT_GE(slot, 0);
-  EXPECT_TRUE(rt.work_visible(0));
+  EXPECT_TRUE(rt.work_visible());
   EXPECT_FALSE(rt.idle_park(rt.current_worker()).blocked);
   rt.loop_board().clear(slot);
 }
@@ -201,7 +201,7 @@ TEST(Runtime, IdleParkBailsOutWhenBoardIsOpen) {
 // backstop (and report it); the caller accounts idle_sleeps off that flag.
 TEST(Runtime, IdleParkReportsRealWaits) {
   runtime rt(1);
-  EXPECT_FALSE(rt.work_visible(0));
+  EXPECT_FALSE(rt.work_visible());
   const runtime::park_outcome out = rt.idle_park(rt.current_worker());
   EXPECT_TRUE(out.blocked);
   EXPECT_EQ(out.reason, parking_lot::wake_reason::timeout);

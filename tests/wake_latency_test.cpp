@@ -69,7 +69,7 @@ TEST(Runtime, IdleParkBailsOutWhenWorkIsVisible) {
   // Far below the park backstop: the re-check fired, not the timeout.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(dt).count(),
             150);
-  EXPECT_TRUE(rt.work_visible(0));
+  EXPECT_TRUE(rt.work_visible());
   w.work_until([&] { return count.load() == 1; });
 }
 
@@ -82,7 +82,7 @@ TEST(Runtime, IdleParkBailsOutWhenWorkIsVisible) {
 // anywhere, the park must cancel instead of riding out the backstop.
 TEST(Runtime, IdleParkBailsOutWhenPredicateAlreadySatisfied) {
   runtime rt(1);
-  EXPECT_FALSE(rt.work_visible(0));
+  EXPECT_FALSE(rt.work_visible());
   const bool completed = true;
   const auto pred = [&] { return completed; };
   const auto t0 = std::chrono::steady_clock::now();
