@@ -91,17 +91,13 @@ int main(int argc, char** argv) {
       for (int trial = 0; trial < 1000; ++trial) {
         std::vector<char> claimed(r_count, 0);
         for (auto& cl : claimed) cl = rng.next_below(2) != 0;
-        struct flags_t {
-          std::vector<char>& cl;
-          bool test_and_set(std::uint64_t r) {
-            const bool prev = cl[r] != 0;
-            cl[r] = 1;
-            return prev;
-          }
-        } flags{claimed};
         const auto w = static_cast<std::uint32_t>(rng.next_below(r_count));
-        const auto st = core::run_claim_loop(
-            w, r_count, flags, [](std::uint64_t, std::uint64_t) {});
+        // The XOR walk never tries a partition twice, so the scripted
+        // outcomes need not record the walk's own wins.
+        core::claim_stats st;
+        core::enumerate_claim_sequence(
+            w, r_count,
+            [&](std::uint64_t i) { return claimed[i ^ w] == 0; }, &st);
         worst_xor = std::max(worst_xor, st.max_consec_failures);
         worst_lin = std::max(worst_lin, linear_scan_failures(r_count, rng));
       }

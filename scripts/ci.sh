@@ -57,9 +57,11 @@ ctest --test-dir build -j"$(nproc)" --repeat until-fail:3 --output-on-failure
 # seeded-broken variants, whose DETECTION is the pass (hls_verify inverts
 # the exit code for models marked expect-failure). The ctest pass above
 # already ran verify_test/claim_interleaving_test; this sweep exercises
-# the CLI path and archives the counters. HLS_VERIFY_DEEP=1 raises depths
-# to the full-depth sweep (~100 s instead of ~4 s on a 4-vCPU guest; the
-# handoff model alone takes ~40 s, the three range models ~27 s).
+# the CLI path and archives the counters. claim-bitmap is exhausted
+# unbounded in both sweeps (6,373 executions, 0.03 s). HLS_VERIFY_DEEP=1
+# raises the other depths to the full-depth sweep (~110 s instead of ~3 s
+# on a 4-vCPU guest; the handoff model alone takes ~40 s, the three range
+# models ~27 s).
 echo "== verify (deterministic model checking)"
 if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
   verify_runs=(
@@ -92,7 +94,7 @@ else
     "--model=range_slot --bound=3"
     "--model=range_word --bound=3"
     "--model=range_word-floor --bound=3"
-    "--model=claim-bitmap --bound=3"
+    "--model=claim-bitmap --bound=-1"
     "--model=parking --bound=3"
     "--model=parking-fanout --bound=2"
     "--model=parking-join --bound=3"
@@ -313,7 +315,7 @@ for t in deque_test runtime_test parking_test wake_latency_test \
          telemetry_test telemetry_runtime_test faultsim_test \
          hardening_test chaos_sched_test range_slot_test \
          profiler_test metrics_export_test health_test degrade_test \
-         stall_sweep_test; do
+         stall_sweep_test partition_set_test; do
   echo "== TSAN $t"
   "build-tsan/tests/$t" --gtest_brief=1
 done

@@ -1,36 +1,18 @@
 // Concurrent partition bookkeeping for a hybrid loop (the structure `A`
-// initialized by Algorithm 1 line 1).
-//
-// Two storage modes behind one interface, selected by R:
-//
-//   R <  kBitmapThreshold  one claimed-flag per partition, padded to a
-//                          cache line each so concurrent fetch_or
-//                          operations from different workers never
-//                          contend on a line.
-//   R >= kBitmapThreshold  a packed bitmap of cacheline-padded 64-bit
-//                          words, 64 partitions per word. A claim is
-//                          still one fetch_or on the partition's bit —
-//                          test_and_set semantics are bit-for-bit those
-//                          of the per-partition flag, so Theorem 3
-//                          (exactly-once) and Lemma 4 (lg R bound) carry
-//                          over unchanged — while scans (is-anything-
-//                          left, leftover sweeps) cover 64 partitions
-//                          per load and the rescue sweep claims up to 64
-//                          leftovers per RMW. At R = 2^20 this is 1 MB
-//                          of flags instead of 64 MB.
-//
-// Plus the arithmetic that maps partitions to iteration sub-ranges.
+// initialized by Algorithm 1 line 1): the claim flags, held by
+// claim_bitmap_core (one bit per partition, packed 64 to a cacheline-
+// padded word, one fetch_or per claim), plus the arithmetic that maps
+// partitions to iteration sub-ranges.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
+#include "core/claim_bitmap_core.h"
 #include "util/bits.h"
-#include "util/cacheline.h"
+#include "verify/sync.h"
 
 namespace hls::core {
 
@@ -60,12 +42,6 @@ constexpr iter_range balanced_range(std::int64_t begin, std::int64_t end,
 
 class partition_set {
  public:
-  // R at or above this uses the packed-bitmap storage. 64 keeps every
-  // sub-threshold set on the zero-false-sharing per-partition flags
-  // (claim-rate-bound workloads have small R) and every bitmap set an
-  // exact multiple of one word (R is rounded to a power of two).
-  static constexpr std::uint64_t kBitmapThreshold = 64;
-
   // Divides [begin, end) into next_pow2(max(num_partitions, 1)) equal-sized
   // partitions. `num_partitions` is normally the worker count P; when P is
   // not a power of two the set is rounded up and the extra partitions are
@@ -81,7 +57,7 @@ class partition_set {
                 std::uint32_t num_partitions,
                 const std::function<double(std::int64_t)>& weight);
 
-  std::uint64_t count() const noexcept { return r_; }            // R
+  std::uint64_t count() const noexcept { return claims_.count(); }  // R
   std::uint64_t log2_count() const noexcept { return lg_r_; }    // lg R
   std::int64_t begin() const noexcept { return begin_; }
   std::int64_t end() const noexcept { return end_; }
@@ -92,31 +68,32 @@ class partition_set {
 
   // Atomically claims partition r; returns true if this call won the claim
   // (the fetch_and_or of Algorithm 2 line 5 succeeded).
-  bool try_claim(std::uint64_t r) noexcept;
+  bool try_claim(std::uint64_t r) noexcept { return !claims_.test_and_set(r); }
 
   // Non-destructive peek used by the DoHybridLoop steal protocol: a thief
   // checks whether its designated partition is still available before
   // entering the loop.
-  bool is_claimed(std::uint64_t r) const noexcept;
+  bool is_claimed(std::uint64_t r) const noexcept {
+    return claims_.is_claimed(r);
+  }
 
   // Number of partitions claimed so far / whether all are claimed.
-  std::uint64_t claimed_count() const noexcept;
-  bool all_claimed() const noexcept;
+  std::uint64_t claimed_count() const noexcept {
+    return claims_.claimed_count();
+  }
+  bool all_claimed() const noexcept { return claims_.all_claimed(); }
 
-  // True when the packed-bitmap storage is in use (R >= kBitmapThreshold).
-  bool bitmap() const noexcept { return words_ != nullptr; }
-
-  // Number of 64-partition blocks (ceil(R / 64)); the block/claim_block
-  // API below is defined for both storage modes.
-  std::uint64_t block_count() const noexcept { return (r_ + 63) >> 6; }
+  // Number of 64-partition blocks (ceil(R / 64)).
+  std::uint64_t block_count() const noexcept { return claims_.block_count(); }
 
   // Atomically claims every still-unclaimed partition in 64-partition
   // block `b` (partitions [64b, min(64b+64, R))). Returns the mask of
-  // partitions won by THIS call, bit i = partition 64b + i. In bitmap
-  // mode this is one fetch_or for the whole block (preceded by a load
-  // that skips fully-claimed blocks without an RMW); each won bit is an
-  // individual test_and_set win, so exactly-once is untouched.
-  std::uint64_t claim_block(std::uint64_t b) noexcept;
+  // partitions won by THIS call, bit i = partition 64b + i: one fetch_or
+  // for the whole block, preceded by a load that skips a fully-claimed
+  // block without an RMW.
+  std::uint64_t claim_block(std::uint64_t b) noexcept {
+    return claims_.claim_block(b);
+  }
 
   // Adapter satisfying core::claim_flags so run_claim_loop drives this set.
   struct flags_adapter {
@@ -126,24 +103,11 @@ class partition_set {
   flags_adapter flags() noexcept { return flags_adapter{*this}; }
 
  private:
-  // Valid-partition mask for block b (all-ones except a trailing partial
-  // block, which cannot occur for pow2 R >= 64 but is handled anyway).
-  std::uint64_t block_mask(std::uint64_t b) const noexcept {
-    const std::uint64_t lo = b << 6;
-    const std::uint64_t n = r_ - lo >= 64 ? 64 : r_ - lo;
-    return n == 64 ? ~0ull : (1ull << n) - 1;
-  }
-
   std::int64_t begin_;
   std::int64_t end_;
-  std::uint64_t r_;
+  claim_bitmap_core<sync::real_traits> claims_;  // R flags
   std::uint64_t lg_r_;
   std::vector<std::int64_t> weighted_bounds_;  // R+1 entries when weighted
-  // Exactly one of these is non-null: per-partition padded flags (small
-  // R) or the packed bitmap (R >= kBitmapThreshold).
-  std::unique_ptr<padded<std::atomic<std::uint8_t>>[]> claimed_;
-  std::unique_ptr<padded<std::atomic<std::uint64_t>>[]> words_;
-  alignas(kCacheLine) std::atomic<std::uint64_t> claimed_count_{0};
 };
 
 }  // namespace hls::core

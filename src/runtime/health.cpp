@@ -57,12 +57,8 @@ std::uint32_t health_watchdog::scan() {
   // Stalls only matter while a loop is open: a silent worker with no
   // outstanding loop is just an application thread between loops (worker
   // 0 belongs to the user), and flagging it would make stalls_detected
-  // meaningless noise. A loop is open on the board or, for dynamic_ws,
-  // which posts nothing there, in a worker's range slot 0.
-  bool loop_open = rt_.loop_board().any_open();
-  for (std::uint32_t w = 0; w < n && !loop_open; ++w) {
-    loop_open = rt_.worker_at(w).range(0).looks_open();
-  }
+  // meaningless noise.
+  const bool loop_open = rt_.loop_open();
 
   std::uint32_t stalled = 0;
   bool rescue_needed = false;

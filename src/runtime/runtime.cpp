@@ -215,18 +215,25 @@ void runtime::notify_all() noexcept {
   parking_.unpark_all();
 }
 
-bool runtime::work_visible() const noexcept {
+bool runtime::loop_open() const noexcept {
   if (board_.any_open()) return true;
+  for (const auto& w : workers_) {
+    // Slot 0 suffices: a worker's open slots are a prefix of its stack, so
+    // any open span keeps slot 0 open.
+    if (w->range(0).looks_open()) return true;
+  }
+  return false;
+}
+
+bool runtime::work_visible() const noexcept {
+  // An open loop is published work — under the lazy splitting path a loop
+  // may expose no tasks at all, only a stealable span, and parking over
+  // one would be a lost wakeup.
+  if (loop_open()) return true;
   for (std::uint32_t i = 0; i < workers_.size(); ++i) {
     // The caller's own deque is included: a chaos-skipped pop leaves a
     // task queued locally, and sleeping over it would be a lost wakeup.
     if (workers_[i]->deque().size_estimate() > 0) return true;
-    // An open range slot is published work too — under the lazy splitting
-    // path a loop may expose no tasks at all, only a stealable span, and
-    // parking over one would be the same lost wakeup. Slot 0 suffices:
-    // a worker's open slots are a prefix of its stack, so any open span
-    // keeps slot 0 open.
-    if (workers_[i]->range(0).looks_open()) return true;
     // A full handoff mailbox is published work: the deposit happens before
     // the donor's targeted wake, and if that wake fails (or the chaos
     // handoff_drop hook swallows it) the payload must still keep every

@@ -180,11 +180,17 @@ class runtime {
   // false (runtime/health.h).
   health_watchdog* watchdog() noexcept { return watchdog_.get(); }
 
-  // True when any deque holds a task, the board has an open loop, a range
-  // slot is open or a handoff mailbox is full. Racy by nature (size
-  // estimates); used by the idle path's choice between an on-CPU backoff
-  // nap and a park, its check-then-park re-check and the spurious-wake
-  // accounting, never for correctness of work distribution itself.
+  // True when a loop is open: posted on the board or, for dynamic_ws,
+  // which posts nothing there, a span in some worker's range slot 0. The
+  // one definition work_visible and the health watchdog share. Racy by
+  // nature, like work_visible.
+  bool loop_open() const noexcept;
+
+  // True when a loop is open (loop_open), any deque holds a task or a
+  // handoff mailbox is full. Racy by nature (size estimates); used by the
+  // idle path's choice between an on-CPU backoff nap and a park, its
+  // check-then-park re-check and the spurious-wake accounting, never for
+  // correctness of work distribution itself.
   bool work_visible() const noexcept;
 
   // The parking subsystem (exposed for tests and diagnostics).

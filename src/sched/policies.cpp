@@ -298,9 +298,9 @@ struct chaos_claim_flags {
 bool hybrid_record::rescue_sweep(rt::worker& w) {
   bool worked = false;
   // Word-at-a-time sweep: one claim_block call claims every leftover in a
-  // 64-partition block (a single fetch_or in bitmap mode, preceded by a
-  // load that skips fully-claimed blocks without an RMW), so sweeping a
-  // large-R set costs O(R/64) loads instead of O(R) per-partition probes.
+  // 64-partition block (a single fetch_or, preceded by a load that skips
+  // fully-claimed blocks without an RMW), so sweeping a large-R set costs
+  // O(R/64) loads instead of O(R) per-partition probes.
   // Each won bit is an individual test_and_set transition, so exactly-once
   // (Theorem 3) is untouched.
   for (std::uint64_t b = 0; b < parts_.block_count(); ++b) {

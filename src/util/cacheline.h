@@ -12,7 +12,8 @@ namespace hls {
 inline constexpr std::size_t kCacheLine = 64;
 
 // Wraps a value in its own cache line so adjacent array elements never share
-// a line. Used for the hybrid partition flag array A and per-worker counters.
+// a line. Used for the hybrid claim flags' 64-partition words and per-worker
+// counters.
 template <typename T>
 struct alignas(kCacheLine) padded {
   T value{};

@@ -35,8 +35,8 @@ struct model_spec {
 // --workers/--partitions only affect the claim model; the rest are fixed
 // scenarios (see src/verify/models/).
 const model_spec kSpecs[] = {
-    {"claim", "run_claim_loop: Theorem 3 exactly-once + Lemma 4 bound",
-     false, -1},
+    {"claim", "run_claim_loop over claim_bitmap_core: Theorem 3 "
+     "exactly-once + Lemma 4 bound", false, -1},
     {"deque", "ws_deque_core: owner vs single-steal thief, growing ring, "
      "exactly-once", false, 3},
     {"deque-broken-nolastcas",
@@ -56,11 +56,11 @@ const model_spec kSpecs[] = {
      "range_word with the owner lowering the split floor between reserves",
      false, 3},
     {"claim-bitmap",
-     "bitmap claim flags + word-at-a-time leftover sweep, exactly-once",
-     false, 3},
+     "claim_bitmap_core: claim loop + word-at-a-time leftover sweep, "
+     "exactly-once", false, 3},
     {"claim-bitmap-broken-nonatomic",
-     "bitmap sweep with a non-atomic load/store RMW (double claim)", true,
-     3},
+     "claim-bitmap with claims and sweep as a load-then-store (double claim)",
+     true, 3},
     {"parking", "parking_lot_core: prepare/re-check/park, no lost wakeup",
      false, 3},
     {"parking-broken-norecheck",

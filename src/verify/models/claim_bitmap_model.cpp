@@ -1,17 +1,14 @@
-// Verification model for the batched claim-flag bitmap
-// (core/partition_set.h's R >= kBitmapThreshold storage): `workers`
-// threads run the REAL run_claim_loop template over a flags adapter whose
-// bits live packed in ONE 64-bit word — mirroring the bitmap-mode
-// partition_set::try_claim orderings exactly (acq_rel fetch_or of the
-// partition's bit, acq_rel count bump on a win) — then run the
-// word-at-a-time leftover sweep mirroring partition_set::claim_block (an
-// acquire load that skips a full word, else one acq_rel fetch_or of the
-// whole valid mask whose newly-set bits are this worker's wins).
+// Verification model for the claim flags' word-at-a-time leftover sweep
+// (core/claim_bitmap_core.h, instantiated with verify_traits): `workers`
+// threads run the REAL run_claim_loop template over the REAL flags — one
+// 64-bit word for R = 8 — then sweep their block with the REAL
+// claim_block, as hybrid_record::rescue_sweep does.
 //
 // One partition's per-bit claims permanently lie "already claimed"
-// without setting the bit (the faultsim claim_fail analog), so the claim
-// loops always leave a leftover and the sweep is load-bearing in every
-// execution. Checked:
+// without setting the bit: an adapter in front of the flags, the way
+// sched's chaos_claim_flags puts a fired claim_fail fault in front of
+// partition_set's. The claim loops therefore always leave a leftover and
+// the sweep is load-bearing in every execution. Checked:
 //   * Theorem 3 (exactly-once): every partition executed exactly once
 //     across per-bit claim-loop wins and batched sweep wins, with full
 //     coverage;
@@ -19,18 +16,20 @@
 //     the injected failures (the bound is structural — each failure
 //     strictly raises lsb(i) — so it must hold no matter why a claim
 //     failed);
-//   * the claimed-total count agrees with R at quiescence.
+//   * all_claimed() and claimed_count() agree with R at quiescence.
 //
-// The broken variant replaces the sweep's fetch_or with a non-atomic
-// load-then-store read-modify-write. Two workers sweeping concurrently
-// can then both observe the leftover bit clear and both "win" it — a
-// double-executed partition, caught at preemption bound <= 3.
+// The broken variant selects claim_bitmap_policy_nonatomic: claims and
+// sweeps set their bits with a load-then-store. Two workers can then both
+// read a bit clear and both "win" it — a double-executed partition,
+// caught at preemption bound <= 3.
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/claim.h"
+#include "core/claim_bitmap_core.h"
 #include "verify/models/models.h"
 #include "verify/shim.h"
 
@@ -39,42 +38,31 @@ namespace {
 
 constexpr std::uint64_t kPartitions = 8;  // one bitmap word, lg R = 3
 constexpr std::uint64_t kLiar = 5;        // per-bit claims on 5 always lie
-constexpr std::uint64_t kValidMask = (std::uint64_t{1} << kPartitions) - 1;
 constexpr std::uint32_t kWorkers = 2;
 
-class claim_bitmap_model final : public model {
+template <typename Policy>
+class claim_bitmap_model_t final : public model {
+  using flags_t = core::claim_bitmap_core<verify_traits, Policy>;
+
   struct state {
-    hls::verify::atomic<std::uint64_t> word{0};
-    hls::verify::atomic<std::uint64_t> claimed_total{0};
+    flags_t flags{kPartitions};
     // Plain bookkeeping (cooperatively scheduled, so no real race): how
     // many times each partition was executed.
     std::vector<std::uint32_t> claim_count = std::vector<std::uint32_t>(
         kPartitions, 0);
   };
 
-  // claim_flags adapter mirroring bitmap-mode partition_set::try_claim,
-  // with the permanent lie on kLiar in front (reports claimed WITHOUT
-  // setting the bit, like a fired claim_fail fault).
-  struct flags_adapter {
-    state& s;
+  // The permanent lie on kLiar in front of the real flags: reports
+  // claimed WITHOUT setting the bit, like a fired claim_fail fault.
+  struct lying_flags {
+    flags_t& inner;
     bool test_and_set(std::uint64_t r) noexcept {
-      if (r == kLiar) return true;
-      const std::uint64_t bit = std::uint64_t{1} << r;
-      const std::uint64_t prev =
-          s.word.fetch_or(bit, std::memory_order_acq_rel);
-      if ((prev & bit) == 0) {
-        s.claimed_total.fetch_add(1, std::memory_order_acq_rel);
-        return false;  // this call won the claim
-      }
-      return true;
+      return r == kLiar || inner.test_and_set(r);
     }
   };
 
  public:
-  explicit claim_bitmap_model(bool broken_nonatomic)
-      : broken_(broken_nonatomic),
-        name_(broken_nonatomic ? "claim-bitmap-broken-nonatomic"
-                               : "claim-bitmap") {}
+  explicit claim_bitmap_model_t(const char* name) : name_(name) {}
 
   const char* name() const override { return name_; }
   int threads() const override { return kWorkers; }
@@ -83,7 +71,7 @@ class claim_bitmap_model final : public model {
 
   void run(int t) override {
     state& s = *st_;
-    flags_adapter fl{s};
+    lying_flags fl{s.flags};
     const auto w = static_cast<std::uint32_t>(t);
     const core::claim_stats st = core::run_claim_loop(
         w, kPartitions, fl,
@@ -97,7 +85,11 @@ class claim_bitmap_model final : public model {
                std::to_string(st.max_consec_failures) +
                " consecutive failures > lg R + 1 = 4");
     }
-    sweep(w);
+    // The leftover sweep: every bit this call wins is one execution.
+    for (std::uint64_t won = s.flags.claim_block(0); won != 0;
+         won &= won - 1) {
+      ++s.claim_count[static_cast<std::uint64_t>(std::countr_zero(won))];
+    }
   }
 
   void check_final() override {
@@ -114,40 +106,12 @@ class claim_bitmap_model final : public model {
       fail_now("coverage violated: " + std::to_string(executed) + " of " +
                std::to_string(kPartitions) + " partitions executed");
     }
-    check(s.word.raw() == kValidMask, "a partition bit was never set");
-    check(s.claimed_total.raw() == kPartitions, "claimed_total drifted");
+    check(s.flags.all_claimed(), "a partition bit was never set");
+    check(s.flags.claimed_count() == kPartitions,
+          "claimed_count disagrees with R");
   }
 
  private:
-  // The leftover sweep over the single block, mirroring
-  // partition_set::claim_block + hybrid_record::rescue_sweep.
-  void sweep(std::uint32_t /*w*/) {
-    state& s = *st_;
-    std::uint64_t won;
-    if (broken_) {
-      // BROKEN: non-atomic RMW — the load and the store are separate op
-      // points, so another worker's sweep (or per-bit claim) between them
-      // is lost and both sides think they won the same bits.
-      const std::uint64_t old = s.word.load(std::memory_order_acquire);
-      if ((old & kValidMask) == kValidMask) return;
-      s.word.store(old | kValidMask, std::memory_order_release);
-      won = kValidMask & ~old;
-    } else {
-      const std::uint64_t cur = s.word.load(std::memory_order_acquire);
-      if ((cur & kValidMask) == kValidMask) return;  // full: no RMW
-      const std::uint64_t prev =
-          s.word.fetch_or(kValidMask, std::memory_order_acq_rel);
-      won = kValidMask & ~prev;
-    }
-    for (std::uint64_t m = won; m != 0; m &= m - 1) {
-      std::uint64_t r = 0;
-      while ((m & (std::uint64_t{1} << r)) == 0) ++r;
-      s.claimed_total.fetch_add(1, std::memory_order_acq_rel);
-      ++s.claim_count[r];
-    }
-  }
-
-  bool broken_;
   const char* name_;
   std::unique_ptr<state> st_;
 };
@@ -155,7 +119,14 @@ class claim_bitmap_model final : public model {
 }  // namespace
 
 std::unique_ptr<model> make_claim_bitmap_model(bool broken_nonatomic) {
-  return std::make_unique<claim_bitmap_model>(broken_nonatomic);
+  if (broken_nonatomic) {
+    return std::make_unique<
+        claim_bitmap_model_t<core::claim_bitmap_policy_nonatomic>>(
+        "claim-bitmap-broken-nonatomic");
+  }
+  return std::make_unique<
+      claim_bitmap_model_t<core::claim_bitmap_policy_default>>(
+      "claim-bitmap");
 }
 
 }  // namespace hls::verify

@@ -1,7 +1,7 @@
 // Verification model for the claim protocol (core/claim.h): `workers`
-// threads run the REAL run_claim_loop template over fetch_or flags that
-// mirror partition_set::try_claim's orderings exactly (acq_rel fetch_or on
-// a uint8 flag, acq_rel count bump on success).
+// threads run the REAL run_claim_loop template over the REAL claim flags,
+// core::claim_bitmap_core instantiated with verify_traits — the core
+// partition_set ships with sync::real_traits.
 //
 // Checked:
 //   * Theorem 3 (exactly-once): every partition is claimed by exactly one
@@ -15,9 +15,12 @@
 // This model publishes each worker's full continuation state (next index,
 // consecutive-failure counters, claimed mask, phase) from the observe
 // callback — which runs between op points, so it is atomic w.r.t. the
-// scheduler — and fingerprints it together with the raw flag values. That
-// makes visited-state pruning sound here: two executions that reach the
-// same flags + per-worker continuation behave identically from then on,
+// scheduler — and fingerprints it together with the per-partition claim
+// counts. The counts stand for the flag words: a won claim's fetch_or and
+// its on_claim run with no op point between them, so at every op point a
+// partition's bit is set exactly when its count is nonzero. That makes
+// visited-state pruning sound here: two executions that reach the same
+// counts + per-worker continuation behave identically from then on,
 // including every assertion check_final makes.
 #include <cstdint>
 #include <memory>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "core/claim.h"
+#include "core/claim_bitmap_core.h"
 #include "verify/models/models.h"
 #include "verify/shim.h"
 #include "verify/vclock.h"  // kMaxModelThreads
@@ -51,11 +55,8 @@ class claim_model final : public model {
   static constexpr std::uint64_t kExited = ~std::uint64_t{0};
 
   struct state {
-    explicit state(std::uint64_t r)
-        : flags(new hls::verify::atomic<std::uint8_t>[r]),
-          claim_count(r, 0) {}
-    std::unique_ptr<hls::verify::atomic<std::uint8_t>[]> flags;
-    hls::verify::atomic<std::uint64_t> claimed_total{0};
+    explicit state(std::uint64_t r) : flags(r), claim_count(r, 0) {}
+    core::claim_bitmap_core<verify_traits> flags;
     // Plain bookkeeping (cooperatively scheduled, so no real race): how
     // many times each partition's on_claim ran.
     std::vector<std::uint32_t> claim_count;
@@ -70,19 +71,6 @@ class claim_model final : public model {
     std::uint64_t claimed_mask = 0;
     bool done = false;
     core::claim_stats stats;
-  };
-
-  // claim_flags adapter mirroring partition_set::try_claim.
-  struct flags_adapter {
-    state& s;
-    bool test_and_set(std::uint64_t r) noexcept {
-      const std::uint8_t prev = s.flags[r].fetch_or(1, std::memory_order_acq_rel);
-      if (prev == 0) {
-        s.claimed_total.fetch_add(1, std::memory_order_acq_rel);
-        return false;  // this call won the claim
-      }
-      return true;
-    }
   };
 
  public:
@@ -103,7 +91,6 @@ class claim_model final : public model {
   void run(int t) override {
     state& s = *st_;
     published& p = pub_[t];
-    flags_adapter fl{s};
     const auto w = static_cast<std::uint32_t>(t);
 
     auto on_claim = [&](std::uint64_t partition, std::uint64_t /*index*/) {
@@ -131,8 +118,8 @@ class claim_model final : public model {
       }
     };
 
-    const core::claim_stats st = core::run_claim_loop(w, r_, fl, on_claim,
-                                                      observe);
+    const core::claim_stats st =
+        core::run_claim_loop(w, r_, s.flags, on_claim, observe);
     check(st.max_consec_failures == p.max_consec,
           "claim_stats.max_consec_failures disagrees with the observed "
           "attempt sequence");
@@ -148,14 +135,14 @@ class claim_model final : public model {
         fail_now("Theorem 3 violated: partition " + std::to_string(r) +
                  " executed " + std::to_string(s.claim_count[r]) + " times");
       }
-      check(s.flags[r].raw() == 1, "partition flag never set");
       claimed += s.claim_count[r];
     }
     if (claimed != r_) {
       fail_now("coverage violated: " + std::to_string(claimed) + " of " +
                std::to_string(r_) + " partitions executed");
     }
-    check(s.claimed_total.raw() == r_, "claimed_total count drifted");
+    check(s.flags.all_claimed(), "a partition flag was never set");
+    check(s.flags.claimed_count() == r_, "claimed_count disagrees with R");
     for (std::uint32_t t = 0; t < w_; ++t) {
       const published& p = pub_[t];
       check(p.done, "worker did not finish");
@@ -174,10 +161,7 @@ class claim_model final : public model {
   std::uint64_t fingerprint() const override {
     if (!st_) return 0;
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t r = 0; r < r_; ++r) {
-      h = mix(h, st_->flags[r].raw());
-      h = mix(h, st_->claim_count[r]);
-    }
+    for (std::uint64_t r = 0; r < r_; ++r) h = mix(h, st_->claim_count[r]);
     for (std::uint32_t t = 0; t < w_; ++t) {
       const published& p = pub_[t];
       h = mix(h, p.next_i);

@@ -13,7 +13,10 @@
 //
 //   claim      — every partition executed exactly once (Theorem 3) and
 //                per-worker max consecutive claim failures <= lg R
-//                (Lemma 4), over the real run_claim_loop + fetch_or flags.
+//                (Lemma 4), over the real run_claim_loop and the real
+//                claim flags (claim_bitmap_core). The claim-bitmap case
+//                adds the leftover sweep, made load-bearing by a lying
+//                partition.
 //   deque      — work conservation: every pushed task is executed exactly
 //                once, no double-execution and no stranded task, over
 //                ws_deque_core's push/pop/steal (including the owner's
@@ -73,11 +76,12 @@ std::unique_ptr<model> make_range_word_model(bool broken_blind_reserve);
 // while the thief steals. Exactly-once and no hole must still hold.
 std::unique_ptr<model> make_range_floor_model();
 
-// Batched claim-flag bitmap: run_claim_loop over bit-packed fetch_or
-// flags (one word, mirroring partition_set's R >= threshold storage) with
-// one permanently-lying partition, then the word-at-a-time leftover sweep
-// that restores coverage. broken_nonatomic replaces the sweep's fetch_or
-// with a load-then-store RMW (caught as a double-executed partition).
+// The claim flags' leftover sweep: run_claim_loop over claim_bitmap_core
+// (one word, R = 8) behind an adapter with one permanently-lying
+// partition, then the word-at-a-time sweep (claim_block) that restores
+// coverage. broken_nonatomic selects claim_bitmap_policy_nonatomic, whose
+// claims and sweep set bits with a load-then-store (caught as a
+// double-executed partition).
 std::unique_ptr<model> make_claim_bitmap_model(bool broken_nonatomic);
 
 // Producer/consumer over parking_lot_core. broken_skip_recheck makes the

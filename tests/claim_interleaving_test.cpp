@@ -5,7 +5,8 @@
 // Earlier revisions duplicated the claim loop as a hand-stepped state
 // machine and DFS'd over it, which proved properties of the *copy*. The
 // models here (src/verify/models/claim_model.cpp) instead run the real
-// core::run_claim_loop template over instrumented fetch_or flags under the
+// core::run_claim_loop template over the real claim flags
+// (core::claim_bitmap_core instantiated with verify_traits) under the
 // verify scheduler, so the exhaustive exploration covers the shipping
 // code itself — including interleavings where one worker finishes before
 // another starts (the arrival staggering the old model enumerated

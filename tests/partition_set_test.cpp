@@ -80,11 +80,11 @@ TEST(PartitionSet, FlagsAdapterMatchesFetchOrSemantics) {
 }
 
 TEST(PartitionSet, FlagsArePaddedToDistinctCacheLines) {
-  // White-box via public layout contract: the flag array element type is one
-  // cache line, so concurrent fetch_or on different partitions cannot
-  // false-share.
-  EXPECT_EQ(sizeof(padded<std::atomic<std::uint8_t>>), kCacheLine);
-  EXPECT_EQ(alignof(padded<std::atomic<std::uint8_t>>), kCacheLine);
+  // White-box via public layout contract: each 64-partition flag word is
+  // one cache line, so a claim in one word never false-shares with a
+  // claim or scan of another.
+  EXPECT_EQ(sizeof(padded<std::atomic<std::uint64_t>>), kCacheLine);
+  EXPECT_EQ(alignof(padded<std::atomic<std::uint64_t>>), kCacheLine);
 }
 
 // Concurrent exactly-once: T threads hammer try_claim on every partition.
@@ -153,25 +153,20 @@ TEST_P(ConcurrentClaimLoop, TheoremThreeHoldsUnderContention) {
 INSTANTIATE_TEST_SUITE_P(Threads, ConcurrentClaimLoop,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8));
 
-// ---- packed-bitmap storage (R >= kBitmapThreshold) -----------------------
+// ---- 64-partition blocks: one packed flag word each ----------------------
 
 TEST(PartitionSetBitmap, StorageModeFollowsRoundedCount) {
-  // Mode selection uses the rounded (power-of-two) R, so every bitmap set
-  // is an exact multiple of one 64-bit word.
-  EXPECT_FALSE(partition_set(0, 1 << 20, 32).bitmap());
-  EXPECT_TRUE(partition_set(0, 1 << 20, 33).bitmap());   // rounds to 64
-  EXPECT_TRUE(partition_set(0, 1 << 20, 64).bitmap());
-  EXPECT_TRUE(partition_set(0, 1 << 20, 65).bitmap());   // rounds to 128
+  // Blocks follow the rounded (power-of-two) R: a partial word below 64,
+  // exact multiples of one word from 64 up.
+  EXPECT_EQ(partition_set(0, 1 << 20, 33).block_count(), 1u);  // R = 64
   EXPECT_EQ(partition_set(0, 1 << 20, 64).block_count(), 1u);
   EXPECT_EQ(partition_set(0, 1 << 20, 65).block_count(), 2u);
   EXPECT_EQ(partition_set(0, 1 << 20, 4096).block_count(), 64u);
-  // The block API is defined for sparse sets too.
   EXPECT_EQ(partition_set(0, 1 << 20, 8).block_count(), 1u);
 }
 
 TEST(PartitionSetBitmap, ClaimBlockWinsExactlyTheUnclaimedBits) {
   partition_set set(0, 1 << 20, 64);
-  ASSERT_TRUE(set.bitmap());
   EXPECT_TRUE(set.try_claim(3));
   EXPECT_TRUE(set.try_claim(17));
   EXPECT_TRUE(set.try_claim(63));
@@ -187,7 +182,8 @@ TEST(PartitionSetBitmap, ClaimBlockWinsExactlyTheUnclaimedBits) {
 // + Lemma 4 consecutive-failure bound), then sweeps every block with
 // claim_block. Coverage must hold, every partition must execute exactly
 // once, and no worker may exceed the lg R failure bound. Parameter is the
-// requested R: 64 (one word), 65 (rounds to 128, two words), 4096.
+// requested R: 4 and 32 (a partial word: block_mask's short branch), 64
+// (one word), 65 (rounds to 128, two words), 4096.
 class BitmapClaimSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(BitmapClaimSweep, TheoremThreeAndLemmaFourSurviveBatchedSweep) {
@@ -195,7 +191,6 @@ TEST_P(BitmapClaimSweep, TheoremThreeAndLemmaFourSurviveBatchedSweep) {
   const std::uint32_t requested = GetParam();
   for (int trial = 0; trial < 10; ++trial) {
     partition_set set(0, 1 << 20, requested);
-    ASSERT_TRUE(set.bitmap());
     const std::uint64_t parts = set.count();
     std::vector<std::atomic<int>> executed(parts);
     for (auto& e : executed) e.store(0);
@@ -242,7 +237,7 @@ TEST_P(BitmapClaimSweep, TheoremThreeAndLemmaFourSurviveBatchedSweep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BitmapClaimSweep,
-                         ::testing::Values(64u, 65u, 4096u));
+                         ::testing::Values(4u, 32u, 64u, 65u, 4096u));
 
 }  // namespace
 }  // namespace hls::core

@@ -1,10 +1,11 @@
 // The verification suite: bounded-exhaustive model checks of the shipping
-// protocol cores (claim + bitmap claim flags, ws_deque, range_slot's
-// one-word claims, parking and its unpark_n fan-out) against the exact
-// templates the runtime instantiates, plus the negative half of the
-// argument — the deliberately-broken protocol variants that the harness
-// must catch, each with a replayable failing schedule. A harness that
-// cannot detect a reintroduced bug proves nothing by passing.
+// protocol cores (the claim loop over claim_bitmap_core and its leftover
+// sweep, ws_deque, range_slot's one-word claims, parking and its unpark_n
+// fan-out) against the exact templates the runtime instantiates, plus the
+// negative half of the argument — the deliberately-broken protocol
+// variants that the harness must catch, each with a replayable failing
+// schedule. A harness that cannot detect a reintroduced bug proves nothing
+// by passing.
 //
 // Depth policy: these run in the default ctest pass, so bounds are chosen
 // to finish in well under a minute total. ci.sh's HLS_VERIFY_DEEP=1 sweep
@@ -78,9 +79,10 @@ TEST(VerifyRangeWord, LoweredFloorExactlyOnceExhaustiveBound3) {
 }
 
 TEST(VerifyClaimBitmap, BatchedSweepExactlyOnceExhaustiveUnbounded) {
-  // Bit-packed claim flags + the word-at-a-time leftover sweep; the space
-  // is small enough to exhaust unbounded, so this is a full proof (modulo
-  // the harness's SC exploration).
+  // The claim flags (claim_bitmap_core) + the word-at-a-time leftover
+  // sweep; the space is small enough to exhaust unbounded (6,373
+  // executions), so this is a full proof (modulo the harness's SC
+  // exploration).
   auto m = make_claim_bitmap_model(false);
   const auto res = explore(*m, exhaustive(-1));
   EXPECT_TRUE(res.ok) << res.failure;
@@ -183,11 +185,15 @@ TEST(VerifyBroken, RangeWordBlindReserveIsCaught) {
 }
 
 TEST(VerifyBroken, ClaimBitmapNonAtomicSweepIsCaught) {
-  // A load-then-store sweep RMW loses concurrent claims between the two
-  // op points: both sweepers win the same leftover bit and the partition
+  // claim_bitmap_policy_nonatomic sets bits with a load-then-store in
+  // claims and sweeps alike: a second claimant between the two op points
+  // reads the same bit clear, both win it, and the partition
   // double-executes.
   expect_caught_and_replayable(make_claim_bitmap_model(true),
                                make_claim_bitmap_model(true), 3);
+  const auto res = explore(*make_claim_bitmap_model(true), exhaustive(3));
+  EXPECT_NE(res.failure.find("executed 2 times"), std::string::npos)
+      << res.failure;
 }
 
 TEST(VerifyBroken, ParkingWithoutRecheckIsCaught) {

@@ -397,9 +397,11 @@ def operator_form_sites(path: str, masked: str, atomic_vars: set,
 # Member declarations, for contract completeness and kind checks.
 DECL_PATTERNS = [
     # traits-seam atomics: atomic_t<T> name / unique_ptr<atomic_t<T>[]> name
+    # (the array optionally padded: unique_ptr<padded<atomic_t<T>>[]>)
     (re.compile(r"\batomic_t<[^;{}]*?>\s+([A-Za-z_]\w*)\s*(?:\{|;|=)"),
      "atomic"),
-    (re.compile(r"unique_ptr<\s*atomic_t<[^;{}]*?>\[\]\s*>\s+([A-Za-z_]\w*)"),
+    (re.compile(r"unique_ptr<\s*(?:padded<\s*)?atomic_t<[^;{}]*?>\[\]\s*>"
+                r"\s+([A-Za-z_]\w*)"),
      "atomic"),
     # raw std::atomic members (wrappers, padded arrays, plain members)
     (re.compile(r"std::atomic<[^;{}]*?>\s+([A-Za-z_]\w*)\s*(?:\{|;|=)"),
