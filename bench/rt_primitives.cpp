@@ -89,16 +89,15 @@ BENCHMARK(BM_WakeLatency)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(64);
 
-// Wake-to-first-iteration latency when the wake CARRIES the work: opening
-// a wide span with a parked peer pre-splits the span's upper half into the
-// sleeper's handoff mailbox before the targeted unpark, so the woken worker
-// starts its first chunk with zero steal probes (docs/runtime.md,
-// "Push-based handoff"). The timed quantity is the runtime's own exact
+// Wake-to-first-iteration latency of a span-open wake: opening a wide span
+// with a parked peer wakes it with a hint naming the span's owner, and the
+// woken worker's first steal probe goes to that owner (docs/runtime.md,
+// "Hinted wakes"). The timed quantity is the runtime's own exact
 // wake-to-first-chunk sample for the woken worker (last_wake_gap_ns), which
 // makes it directly comparable to BM_WakeLatency's push-then-probe pickup
-// above: same wake edge, different path from wake to useful work. Retries
-// the settle when an iteration's wake rode a backoff timeout instead of the
-// notify (no donation recorded), so every timed sample is a handoff wake.
+// above: same wake machinery, a span instead of a task. Retries the settle
+// when an iteration's loop sent no hinted wake (the peer was not parked at
+// span open), so every timed sample is a span-open wake.
 void BM_HandoffLatency(benchmark::State& state) {
   rt::runtime rtm(2);
   const auto& peer = rtm.tel().of(1);
@@ -243,33 +242,6 @@ void BM_SpanOverhead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kN);
 }
 BENCHMARK(BM_SpanOverhead)->ArgNames({"p"})->Arg(1)->Arg(4);
-
-// The same fine-grained lazy span, A/B over the push-based handoff knob:
-// handoff:1 is the default donate-on-open path (wide spans ride targeted
-// wakes into a parked peer's mailbox), handoff:0 restores the pure pull
-// path where every woken worker probes for its first chunk. Guards the
-// donor-side cost of the pre-split + deposit against the probe savings on
-// the same workload BM_SpanOverhead measures.
-void BM_SpanOverheadHandoff(benchmark::State& state) {
-  rt::runtime_options ropt;
-  ropt.num_workers = 4;
-  ropt.work_handoff = state.range(0) != 0;
-  rt::runtime rtm(ropt);
-  constexpr std::int64_t kN = 1 << 15;
-  loop_options opt;
-  opt.grain = 1;
-  for (auto _ : state) {
-    parallel_for(rtm, 0, kN, policy::dynamic_ws,
-                 [](std::int64_t, std::int64_t) {}, opt);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kN);
-}
-BENCHMARK(BM_SpanOverheadHandoff)
-    ->ArgNames({"handoff"})
-    ->Arg(1)
-    ->Arg(0)
-    ->Name("BM_SpanOverhead/handoff");
 
 // The same lazy span at huge N: 2^33 iterations published as ONE span
 // (the slot's word counts it in units of four iterations) and consumed in

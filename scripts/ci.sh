@@ -53,15 +53,15 @@ ctest --test-dir build --output-on-failure
 ctest --test-dir build -j"$(nproc)" --repeat until-fail:3 --output-on-failure
 
 # Deterministic model checking (docs/verification.md): bounded-exhaustive
-# sweeps of the shipping protocol cores, then the eight
+# sweeps of the shipping protocol cores, then the seven
 # seeded-broken variants, whose DETECTION is the pass (hls_verify inverts
 # the exit code for models marked expect-failure). The ctest pass above
 # already ran verify_test/claim_interleaving_test; this sweep exercises
 # the CLI path and archives the counters. claim-bitmap is exhausted
 # unbounded in both sweeps (6,373 executions, 0.03 s). HLS_VERIFY_DEEP=1
-# raises the other depths to the full-depth sweep (~110 s instead of ~3 s
-# on a 4-vCPU guest; the handoff model alone takes ~40 s, the three range
-# models ~27 s).
+# raises the other depths to the full-depth sweep (~50 s instead of ~2 s
+# on a 4-vCPU guest; the three range models take ~28 s of it, the
+# parking fan-out ~13 s).
 echo "== verify (deterministic model checking)"
 if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
   verify_runs=(
@@ -76,7 +76,6 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=parking --bound=-1"
     "--model=parking-fanout --bound=3"
     "--model=parking-join --bound=4"
-    "--model=handoff --bound=3"
     "--model=deque-broken-nolastcas --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-blindreserve --bound=3"
@@ -84,7 +83,6 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-fanout-broken-merge --bound=3"
     "--model=parking-join-broken-nobroadcast --bound=3"
-    "--model=handoff-broken-dropped --bound=3"
   )
 else
   verify_runs=(
@@ -98,7 +96,6 @@ else
     "--model=parking --bound=3"
     "--model=parking-fanout --bound=2"
     "--model=parking-join --bound=3"
-    "--model=handoff --bound=2"
     "--model=deque-broken-nolastcas --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-blindreserve --bound=3"
@@ -106,7 +103,6 @@ else
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-fanout-broken-merge --bound=3"
     "--model=parking-join-broken-nobroadcast --bound=3"
-    "--model=handoff-broken-dropped --bound=3"
   )
 fi
 : > build/VERIFY_summary.txt
@@ -159,7 +155,6 @@ assert any("BM_TeamArrival" in n for n in names), names
 assert "BM_SpanOverhead/p:1" in names, names
 assert "BM_SpanOverhead/p:4" in names, names
 assert any("BM_SpanOverhead/huge" in n for n in names), names
-assert any("BM_SpanOverhead/handoff" in n for n in names), names
 assert "BM_ParallelFor/hybrid/4/7000" in names, names
 assert "BM_ParallelFor/static/4/7000" in names, names
 EOF
@@ -267,7 +262,7 @@ HLS_STALL_SWEEP_SEEDS=200 build/tests/stall_sweep_test --gtest_brief=1
 # split floor cuts below the grain; cg_fine the short loops; nested_quad
 # the nested spans. Under --trace 1, "correct" also needs every per-layer
 # metric defined, and a ratio reads n/a when its denominator is zero (a
-# short run that sent no handoff), so a failure prints the failed-step
+# short run that sent no hinted wake), so a failure prints the failed-step
 # count and the per-layer metrics that came back missing, named from
 # run.py's own list of reported metrics. run.py refuses to run on fewer
 # than 4 CPUs (its numbers are for P = 4), so the smoke skips with a
@@ -309,8 +304,7 @@ ctest --test-dir build-noevents -j"$(nproc)" --output-on-failure
 cmake -B build-tsan -G Ninja -DHLS_SANITIZE=thread
 cmake --build build-tsan
 for t in deque_test runtime_test parking_test wake_latency_test \
-         handoff_test parallel_for_test \
-         hybrid_loop_test task_group_test stress_test \
+         parallel_for_test hybrid_loop_test task_group_test stress_test \
          reduce_test sched_features_test micro_workload_test \
          telemetry_test telemetry_runtime_test faultsim_test \
          hardening_test chaos_sched_test range_slot_test \

@@ -82,9 +82,8 @@ class board {
   bool any_open() const noexcept;
 
   // Forwards a watchdog rescue request to every open, unfinished loop
-  // (see loop_record::request_rescue). Callable from any thread; uses the
-  // same readers/re-read lifetime protocol as visit(), so it never races
-  // with clear().
+  // (see loop_record::request_rescue). Callable from any thread; walks the
+  // slots as visit() does (for_each_open), so it never races with clear().
   void request_rescue() noexcept;
 
   // Number of posts so far. A steal round compares it with the value it
@@ -97,8 +96,8 @@ class board {
 
  private:
   struct slot {
-    // Dekker pair between visit's (readers++; re-read ptr) and clear's
-    // (ptr = null; drain readers): the announce fetch_add and the
+    // Dekker pair between for_each_open's (readers++; re-read ptr) and
+    // clear's (ptr = null; drain readers): the announce fetch_add and the
     // unpublish store are seq_cst so the two sides cannot both miss each
     // other; the retire fetch_sub (release) pairs with the drain load
     // (acquire) to order record use before clear() returns and the poster
@@ -110,6 +109,13 @@ class board {
     // is unpublished but still has visitors is not reused.
     bool occupied = false;  // guarded by mu_
   };
+
+  // Calls fn(rec) for each published, unfinished record, innermost first,
+  // inside the readers announce/re-read/retire walk that is the visitor
+  // half of the Dekker pair with clear(). visit() and request_rescue() are
+  // its two callers (board.cpp).
+  template <typename Fn>
+  void for_each_open(Fn&& fn);
 
   std::mutex mu_;  // post/clear bookkeeping only
   slot slots_[kSlots];

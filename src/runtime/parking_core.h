@@ -86,11 +86,18 @@ class parking_lot_core {
     stop,      // request_stop() was observed
   };
 
+  // What an unpark_n caller may attach to the wakes it delivers: the id of
+  // the worker whose new span the woken waiter should probe first. The
+  // value is the caller's; the lot only carries it.
+  static constexpr std::uint32_t kNoHint = ~std::uint32_t{0};
+
   struct park_result {
     wake_reason reason = wake_reason::notified;
     // True only when park() actually blocked. An immediate return (wake
     // already consumed, or stopping) must not be accounted as a sleep.
     bool waited = false;
+    // The hint of the wake this park consumed, or kNoHint.
+    std::uint32_t hint = kNoHint;
   };
 
   explicit parking_lot_core(std::uint32_t num_slots)
@@ -116,8 +123,9 @@ class parking_lot_core {
 
   // Aborts between prepare_park and park (the re-check found work).
   // Returns true when it consumed a wake that had already landed on the
-  // slot (the verify models use it to account for every delivered wake).
-  bool cancel_park(std::uint32_t w) noexcept {
+  // slot (the verify models use it to account for every delivered wake);
+  // that wake's hint, or kNoHint, goes to *hint when hint is non-null.
+  bool cancel_park(std::uint32_t w, std::uint32_t* hint = nullptr) noexcept {
     slot& s = slots_[w];
     bool consumed = false;
     {
@@ -131,6 +139,8 @@ class parking_lot_core {
       s.state.store(kActive, std::memory_order_relaxed);
       consumed = s.wake_pending;
       s.wake_pending = false;
+      if (hint != nullptr) *hint = s.hint;
+      s.hint = kNoHint;
     }
     waiters_.fetch_sub(1, std::memory_order_release);
     return consumed;
@@ -174,6 +184,8 @@ class parking_lot_core {
     // (notified) or can no longer be delivered (timeout/stop with the
     // state now active), so the slot is again eligible for fresh wakes.
     s.wake_pending = false;
+    res.hint = s.hint;
+    s.hint = kNoHint;
     lk.unlock();
     waiters_.fetch_sub(1, std::memory_order_release);
     return res;
@@ -187,8 +199,11 @@ class parking_lot_core {
   // path with no waiters is one fence + one load, no lock. A slot that
   // already holds an unconsumed wake is skipped and does not use up the
   // budget: two unparks never merge into one delivered signal, so the
-  // return value counts waiters that will really wake.
-  std::uint32_t unpark_n(std::uint32_t k) noexcept {
+  // return value counts waiters that will really wake. Each signalled slot
+  // keeps `hint` until its waiter consumes the wake (park or cancel_park),
+  // so a hint reaches exactly the waiters this call woke, once each.
+  std::uint32_t unpark_n(std::uint32_t k,
+                         std::uint32_t hint = kNoHint) noexcept {
     if (k == 0) return 0;
     // Dekker, notifier side: the caller's work publication (deque bottom_
     // store, board ptr store — possibly relaxed) must be ordered before
@@ -221,6 +236,7 @@ class parking_lot_core {
             (!Policy::skip_pending || !s.wake_pending)) {
           s.epoch.fetch_add(1, std::memory_order_relaxed);
           s.wake_pending = true;
+          s.hint = hint;
           signalled = true;
         }
       }
@@ -234,58 +250,6 @@ class parking_lot_core {
 
   // Wakes exactly one announced waiter; true when one was signalled.
   bool unpark_one() noexcept { return unpark_n(1) != 0; }
-
-  // Advisory scan for a waiter that could consume a targeted wake right
-  // now: announced (pending or parked) and with no unconsumed wake. Used
-  // by the push-based handoff path to pick a deposit target *before*
-  // paying for the deposit itself. Purely a hint — the slot may become
-  // active between this scan and the unpark_at; callers must handle a
-  // false return from unpark_at by reclaiming whatever they deposited.
-  // Returns the slot count when no candidate is visible.
-  std::uint32_t pick_waiter() noexcept {
-    Traits::fence(std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_relaxed) == 0) return n_;
-    const std::uint32_t start = rotor_.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      slot& s = slots_[(start + i) % n_];
-      if (s.state.load(std::memory_order_relaxed) == kActive) continue;
-      bool eligible = false;
-      {
-        hls::scoped_lock<mutex_t> lg(s.mu);
-        eligible = s.state.load(std::memory_order_relaxed) != kActive &&
-                   !s.wake_pending;
-      }
-      if (eligible) return (start + i) % n_;
-    }
-    return n_;
-  }
-
-  // Targeted wake of one specific slot — the delivery half of a work
-  // handoff (the caller deposited a payload into w's handoff slot first).
-  // Same authoritative locked check as unpark_n: returns true only when
-  // slot w was announced and had no unconsumed wake, i.e. exactly one
-  // fresh wake was delivered. On false the caller still owns the deposit
-  // and must reclaim it (the target raced into activity, already holds a
-  // wake, or was never parked).
-  bool unpark_at(std::uint32_t w) noexcept {
-    // Dekker, notifier side: the deposit (payload publication) must be
-    // ordered before the waiter-state read. Pairs with the fence in
-    // prepare_park, exactly as in unpark_n.
-    Traits::fence(std::memory_order_seq_cst);
-    slot& s = slots_[w];
-    bool signalled = false;
-    {
-      hls::scoped_lock<mutex_t> lg(s.mu);
-      if (s.state.load(std::memory_order_relaxed) != kActive &&
-          !s.wake_pending) {
-        s.epoch.fetch_add(1, std::memory_order_relaxed);
-        s.wake_pending = true;
-        signalled = true;
-      }
-    }
-    if (signalled) s.cv.notify_one();
-    return signalled;
-  }
 
   // Wakes every announced waiter (loop completion, join edges, shutdown).
   void unpark_all() noexcept {
@@ -301,7 +265,7 @@ class parking_lot_core {
         if (s.state.load(std::memory_order_relaxed) != kActive) {
           // A broadcast wakes everyone, so an already-pending slot is
           // bumped again rather than skipped; the waiter consumes both as
-          // one.
+          // one, and a hint the pending wake carries stays with it.
           s.epoch.fetch_add(1, std::memory_order_relaxed);
           s.wake_pending = true;
           signalled = true;
@@ -346,6 +310,9 @@ class parking_lot_core {
     // such slots so a burst of wakes fans out to distinct waiters instead
     // of collapsing onto one.
     bool wake_pending HLS_GUARDED_BY(mu) = false;
+    // The pending wake's unpark_n hint; kNoHint when none is pending or
+    // the pending wake carried none.
+    std::uint32_t hint HLS_GUARDED_BY(mu) = kNoHint;
   };
 
   std::uint32_t n_;

@@ -81,7 +81,6 @@ runtime_options runtime_options::from_cli(const cli& c) {
   o.progress_budget = std::chrono::microseconds(
       c.get_int_in("progress-budget-us", 0, 0, 60'000'000));
   o.watchdog = c.get_bool("watchdog", true);
-  o.work_handoff = c.get_bool("work-handoff", true);
   o.chaos = c.get("chaos", "");
   o.validate();
   return o;
@@ -93,8 +92,7 @@ runtime::runtime(std::uint32_t num_workers, std::uint64_t seed)
 runtime::runtime(const runtime_options& opt)
     : opt_(checked_options(opt)),
       tel_(opt_.num_workers),
-      parking_(tel_.num_workers()),
-      handoff_(new handoff_slot[tel_.num_workers()]) {
+      parking_(tel_.num_workers()) {
   const std::uint32_t requested = opt_.num_workers;
   std::uint64_t sm = opt_.seed;
   workers_.reserve(requested);
@@ -156,13 +154,6 @@ runtime::~runtime() {
   stop_.store(true, std::memory_order_release);
   parking_.request_stop();
   for (auto& t : threads_) t.join();
-  // Workers drained their own mailboxes on the way out of worker_main;
-  // worker 0 (this thread) and any degraded threadless workers still need
-  // theirs swept so no deposited range goes unexecuted.
-  for (std::uint32_t i = 0; i < workers_.size(); ++i) {
-    while (workers_[0]->try_consume_handoff_from(i)) {
-    }
-  }
   if (tls_worker == workers_[0].get()) tls_worker = nullptr;
 }
 
@@ -198,16 +189,19 @@ void runtime::capture_orphan(std::exception_ptr e) noexcept {
   if (orphan_ == nullptr) orphan_ = std::move(e);
 }
 
-void runtime::notify_work(std::uint32_t k) noexcept {
+void runtime::notify_work(std::uint32_t k, std::uint32_t hint) noexcept {
   // unpark_n's seq_cst fence orders the caller's work publication (deque
-  // bottom_ / board ptr stores) before the waiter scan, pairing with
-  // prepare_park's fence in idle_park. Waking only as many workers as the
-  // work can use avoids the old notify_all thundering herd.
-  const std::uint32_t woken = parking_.unpark_n(k);
+  // bottom_ / board ptr / range slot stores) before the waiter scan,
+  // pairing with prepare_park's fence in idle_park. Waking only as many
+  // workers as the work can use avoids the old notify_all thundering herd.
+  const std::uint32_t woken = parking_.unpark_n(k, hint);
   if (woken == 0) return;
   worker* w = tls_worker;
   if (w != nullptr && &w->rt() == this) {
     telemetry::bump(w->tel().counters.wakes_sent, woken);
+    if (hint != parking_lot::kNoHint) {
+      telemetry::bump(w->tel().counters.handoffs_sent, woken);
+    }
   }
 }
 
@@ -230,15 +224,10 @@ bool runtime::work_visible() const noexcept {
   // may expose no tasks at all, only a stealable span, and parking over
   // one would be a lost wakeup.
   if (loop_open()) return true;
-  for (std::uint32_t i = 0; i < workers_.size(); ++i) {
+  for (const auto& w : workers_) {
     // The caller's own deque is included: a chaos-skipped pop leaves a
     // task queued locally, and sleeping over it would be a lost wakeup.
-    if (workers_[i]->deque().size_estimate() > 0) return true;
-    // A full handoff mailbox is published work: the deposit happens before
-    // the donor's targeted wake, and if that wake fails (or the chaos
-    // handoff_drop hook swallows it) the payload must still keep every
-    // would-be sleeper's re-check honest — any worker can poach it.
-    if (handoff_[i].full()) return true;
+    if (w->deque().size_estimate() > 0) return true;
   }
   return false;
 }
@@ -256,12 +245,13 @@ runtime::park_outcome runtime::idle_park(worker& w, park_predicate done) {
   // work, so a broadcast landing just before the announcement is visible
   // only through the predicate itself.
   if (stopping() || work_visible() || done.satisfied()) {
-    parking_.cancel_park(w.id());
-    return {false, parking_lot::wake_reason::notified};
+    std::uint32_t hint = parking_lot::kNoHint;
+    parking_.cancel_park(w.id(), &hint);
+    return {false, parking_lot::wake_reason::notified, hint};
   }
   const parking_lot::park_result res =
       parking_.park(w.id(), ticket, opt_.park_backstop);
-  return {res.waited, res.reason};
+  return {res.waited, res.reason, res.hint};
 }
 
 void runtime::worker_main(std::uint32_t id) {
@@ -274,13 +264,6 @@ void runtime::worker_main(std::uint32_t id) {
     } else {
       w.pause(++idle);
     }
-  }
-  // Shutdown drain: a deposit racing the stop flag must not be stranded in
-  // this worker's mailbox (its range holds unretired iterations). In
-  // correct usage loops complete before the runtime is destroyed, so this
-  // is a defensive sweep, but the exactly-once guarantee must not depend
-  // on that.
-  while (w.try_consume_handoff()) {
   }
   tls_worker = nullptr;
 }

@@ -19,7 +19,6 @@
 
 #include "faultsim/faultsim.h"
 #include "runtime/board.h"
-#include "runtime/handoff.h"
 #include "runtime/parking.h"
 #include "runtime/worker.h"
 #include "telemetry/registry.h"
@@ -61,13 +60,6 @@ struct runtime_options {
   // set, must be in [10us, 60s].
   std::chrono::microseconds progress_budget{0};
 
-  // Push-based work handoff (docs/runtime.md "Push-based handoff"): when
-  // true, a worker that opens a span while peers are parked pre-splits half
-  // of it into a parked peer's handoff mailbox before the targeted wake, so
-  // the woken worker starts executing with zero steal probes. Off restores the pure pull (probe) wake path — kept as
-  // an A/B knob for the handoff-vs-probe benches.
-  bool work_handoff = true;
-
   // Chaos spec (faultsim/faultsim.h). "" = fall back to the HLS_CHAOS
   // environment variable; a non-empty spec must parse or the runtime
   // constructor throws.
@@ -83,7 +75,7 @@ struct runtime_options {
   void validate() const;
 
   // Parses --workers, --park-backstop-us, --progress-budget-us,
-  // --watchdog=0|1, --work-handoff=0|1, --chaos.
+  // --watchdog=0|1, --chaos.
   // Unset flags keep the defaults above (num_workers falls back to
   // hardware_concurrency).
   static runtime_options from_cli(const cli& c);
@@ -146,8 +138,12 @@ class runtime {
   // each published task sends one wake, so wakes scale with the work, not
   // with the herd. A board post wakes the whole team the loop can use in
   // one call (parallel_for), so no worker the loop needs waits out the
-  // park backstop. Every delivered wake counts in the caller's wakes_sent.
-  void notify_work(std::uint32_t k = 1) noexcept;
+  // park backstop. A span open wakes one and names its owner in `hint`
+  // (docs/runtime.md "Hinted wakes"): the woken worker's next steal round
+  // probes that worker first. Every delivered wake counts in the caller's
+  // wakes_sent, and a hinted one in handoffs_sent too.
+  void notify_work(std::uint32_t k = 1,
+                   std::uint32_t hint = parking_lot::kNoHint) noexcept;
 
   // Wakes every parked worker. Called on completion edges (a loop's last
   // chunk retiring, a task_group draining) where the specific waiter that
@@ -159,6 +155,8 @@ class runtime {
   struct park_outcome {
     bool blocked = false;  // the worker actually parked (count it)
     parking_lot::wake_reason reason = parking_lot::wake_reason::notified;
+    // The notify_work hint of the wake consumed here, or kNoHint.
+    std::uint32_t hint = parking_lot::kNoHint;
   };
 
   // Parks worker w until new work is signalled. Encodes the
@@ -186,25 +184,15 @@ class runtime {
   // nature, like work_visible.
   bool loop_open() const noexcept;
 
-  // True when a loop is open (loop_open), any deque holds a task or a
-  // handoff mailbox is full. Racy by nature (size estimates); used by the
-  // idle path's choice between an on-CPU backoff nap and a park, its
-  // check-then-park re-check and the spurious-wake accounting, never for
-  // correctness of work distribution itself.
+  // True when a loop is open (loop_open) or any deque holds a task. Racy
+  // by nature (size estimates); used by the idle path's choice between an
+  // on-CPU backoff nap and a park, its check-then-park re-check and the
+  // spurious-wake accounting, never for correctness of work distribution
+  // itself.
   bool work_visible() const noexcept;
 
   // The parking subsystem (exposed for tests and diagnostics).
   parking_lot& parking() noexcept { return parking_; }
-
-  // ---- push-based work handoff (docs/runtime.md) --------------------
-  // Worker w's handoff mailbox: deposited into by sched's donate-on-open
-  // (worker::donate_range), consumed by the owner's try_progress, poached
-  // by steal rounds, reclaimed by a donor whose targeted wake failed.
-  handoff_slot& handoff_of(std::uint32_t w) noexcept { return handoff_[w]; }
-  const handoff_slot& handoff_of(std::uint32_t w) const noexcept {
-    return handoff_[w];
-  }
-  bool handoff_enabled() const noexcept { return opt_.work_handoff; }
 
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);
@@ -248,7 +236,6 @@ class runtime {
   runtime_options opt_;      // validated copy
   telemetry::registry tel_;  // before workers_: workers reference slots
   parking_lot parking_;
-  std::unique_ptr<handoff_slot[]> handoff_;  // one mailbox per worker
   std::vector<std::unique_ptr<worker>> workers_;
   std::vector<std::thread> threads_;
   board board_;

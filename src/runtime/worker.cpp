@@ -44,94 +44,6 @@ range_slot* worker::open_span(void* ctx, range_slot::span_runner run,
 
 bool worker::close_span() noexcept { return ranges_[--open_spans_].close(); }
 
-bool worker::try_consume_handoff() { return try_consume_handoff_from(id_); }
-
-bool worker::try_consume_handoff_from(std::uint32_t v) {
-  handoff_item it;
-  if (!rt_.handoff_of(v).try_take(it)) return false;
-  run_handoff(it);
-  return true;
-}
-
-void worker::run_handoff(handoff_item& it) {
-  telemetry::bump(tel_.counters.handoffs_consumed);
-  it.run(*this, it.ctx, it.lo, it.hi);
-}
-
-// Picks a deposit target and claims its mailbox. Returns nullptr when the
-// handoff path should not run (disabled, solo, nobody parked, target
-// mailbox occupied). On success *target_out names the claimed peer.
-handoff_slot* worker::claim_handoff_target(std::uint32_t* target_out) {
-  if (!rt_.handoff_enabled()) return nullptr;
-  const std::uint32_t p = rt_.num_workers();
-  if (p <= 1) return nullptr;
-  parking_lot& pl = rt_.parking();
-  if (pl.waiters() == 0) return nullptr;
-  const std::uint32_t target = pl.pick_waiter();
-  if (target >= p || target == id_) return nullptr;
-  handoff_slot& box = rt_.handoff_of(target);
-  if (!box.try_claim()) return nullptr;
-  *target_out = target;
-  return &box;
-}
-
-// Deposit published; deliver the wake or reclaim the payload. Returns
-// true when the payload was delivered (targeted wake sent, or a racing
-// consumer already took it); false after a successful reclaim, with the
-// payload copied to *back for the caller to run.
-bool worker::deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
-                                std::int64_t iters, handoff_item* back) {
-  if (fault(faultsim::hook::handoff_drop)) {
-    // Injected dropped handoff: the wake is swallowed AND the donor
-    // forgets to reclaim — the payload is stranded in the mailbox. The
-    // no-lost-work guarantee now rests on the sweep paths (work_visible
-    // keeps would-be sleepers honest; steal rounds poach full mailboxes),
-    // which is exactly what the chaos sweep in handoff_test asserts.
-    return true;
-  }
-  if (rt_.parking().unpark_at(target)) {
-    telemetry::bump(tel_.counters.wakes_sent);
-    telemetry::bump(tel_.counters.handoffs_sent);
-    tel_.instant(telemetry::event_kind::handoff, target, iters);
-    return true;
-  }
-  // The targeted wake failed (the peer raced into activity or already
-  // holds an unconsumed wake). Reclaim the deposit; exactly one of this
-  // take and any concurrent consumer/poacher wins.
-  if (box.try_take(*back)) {
-    telemetry::bump(tel_.counters.handoffs_reclaimed);
-    return false;
-  }
-  // Lost the reclaim race: someone is already executing the payload.
-  telemetry::bump(tel_.counters.handoffs_sent);
-  tel_.instant(telemetry::event_kind::handoff, target, iters);
-  return true;
-}
-
-bool worker::donate_range() {
-  std::uint32_t target = 0;
-  handoff_slot* box = claim_handoff_target(&target);
-  if (box == nullptr) return false;
-  // Donor-side pre-split: carve the upper half off the span this worker
-  // just opened (its innermost slot) with the slot's regular thief
-  // protocol — the same CAS an actual steal runs, so the Corollary-6
-  // split bound and exactly-once argument apply unchanged.
-  range_slot& slot = ranges_[open_spans_ - 1];
-  const range_slot::stolen s = slot.try_steal();
-  if (!s) {
-    box->abort_claim();  // span too narrow to halve (or lost a race)
-    return false;
-  }
-  box->publish({s.run, s.ctx, s.lo, s.hi});
-  handoff_item back;
-  if (deliver_or_reclaim(*box, target, s.hi - s.lo, &back)) return true;
-  // Reclaimed: execute the range here (the runner thunk opens the next
-  // slot for it, nested inside the span it came from, so it stays
-  // stealable).
-  back.run(*this, back.ctx, back.lo, back.hi);
-  return false;
-}
-
 void worker::bind_cpu_clock(pthread_t thread) noexcept {
   has_cpu_clock_ = pthread_getcpuclockid(thread, &cpu_clock_) == 0;
 }
@@ -195,8 +107,9 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
   // (the stolen work has run), or the round ended before probing because a
   // loop was posted since the caller's board visit — better work than any
   // probe — or the caller's wait is over. A deque hit takes the victim's
-  // oldest task and runs it.
-  const auto probe = [&](std::uint32_t v) -> bool {
+  // oldest task and runs it. `hinted` marks the probe a hinted wake asked
+  // for.
+  const auto probe = [&](std::uint32_t v, bool hinted) -> bool {
     if (brd.posts() != posts_seen) {
       end = round_end::posted;
       return true;
@@ -222,7 +135,12 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
       if (range_slot::stolen s = rs.try_steal()) {
         settle(round_end::hit);
         telemetry::bump(tel_.counters.range_steals);
-        tel_.instant(telemetry::event_kind::range_steal, v, s.hi - s.lo);
+        // A range taken where a span-open wake pointed: the wake found its
+        // span, so it counts, and is traced, as a handoff.
+        if (hinted) telemetry::bump(tel_.counters.handoffs_consumed);
+        tel_.instant(hinted ? telemetry::event_kind::handoff
+                            : telemetry::event_kind::range_steal,
+                     v, s.hi - s.lo);
         s.run(*this, s.ctx, s.lo, s.hi);
         return true;
       }
@@ -235,27 +153,20 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
       run(t);
       return true;
     }
-    // Last resort on this victim: poach its handoff mailbox. Normally the
-    // deposit's targeted wake delivers it to the addressee, but a stranded
-    // deposit (the donor lost its reclaim race, or a chaos-dropped wake)
-    // must not outlive the next steal round — this probe is the sweep that
-    // guarantees it.
-    handoff_item it;
-    if (rt_.handoff_of(v).full() && rt_.handoff_of(v).try_take(it)) {
-      settle(round_end::hit);
-      run_handoff(it);
-      return true;
-    }
     return false;
   };
 
+  // The worker a hinted wake named opened a span just before the wake:
+  // probe it first. The hint is spent either way.
+  const std::uint32_t hint = wake_hint_;
+  wake_hint_ = parking_lot::kNoHint;
+  bool over = hint < p && probe(hint, true);
   // Up to P probes of uniformly random victims (randomized work stealing;
   // the round bound keeps the idle loop responsive to board posts).
-  for (std::uint32_t attempt = 0; attempt < p; ++attempt) {
+  for (std::uint32_t attempt = 0; !over && attempt < p; ++attempt) {
     const auto victim =
         static_cast<std::uint32_t>(rng_.next_below(p - 1));
-    const std::uint32_t v = victim >= id_ ? victim + 1 : victim;
-    if (probe(v)) break;
+    over = probe(victim >= id_ ? victim + 1 : victim, false);
   }
   // A hit settled as it happened; anything else settles here.
   if (end != round_end::hit) settle(end);
@@ -263,9 +174,6 @@ worker::round_end worker::try_steal_round(std::uint64_t posts_seen,
 }
 
 bool worker::try_progress(park_predicate done) {
-  // Mailbox first: a wake that carried work is consumed before any
-  // probing, so the push-handoff path really is zero-steal-probe.
-  if (try_consume_handoff()) return true;
   if (task* t = pop_local()) {
     run(t);
     return true;
@@ -322,6 +230,7 @@ void worker::pause(int idle_count, park_predicate done) {
     hb_parked_.store(1, std::memory_order_relaxed);
     const runtime::park_outcome out = rt_.idle_park(*this, done);
     hb_parked_.store(0, std::memory_order_relaxed);
+    wake_hint_ = out.hint;
     if (!out.blocked) return;
     backoff_level_ = 0;
     telemetry::bump(tel_.counters.idle_sleeps);
@@ -368,12 +277,11 @@ void worker::backoff_nap(park_predicate done) {
   telemetry::bump(tel_.counters.steal_backoffs);
   const board& brd = rt_.loop_board();
   const std::uint64_t posts = brd.posts();
-  const handoff_slot& box = rt_.handoff_of(id_);
   const std::uint64_t t0 = tel_.now();
   const std::uint64_t deadline = t0 + static_cast<std::uint64_t>(nap_ns);
   std::uint64_t t = t0;
-  while (brd.posts() == posts && !box.full() && !done.satisfied() &&
-         !rt_.stopping() && t < deadline) {
+  while (brd.posts() == posts && !done.satisfied() && !rt_.stopping() &&
+         t < deadline) {
     std::this_thread::yield();
     beat();  // on-CPU and holding no work: healthy, not silent
     t = tel_.now();

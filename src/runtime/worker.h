@@ -12,7 +12,6 @@
 #include <atomic>
 
 #include "runtime/deque.h"
-#include "runtime/handoff.h"
 #include "runtime/parking.h"
 #include "runtime/range_slot.h"
 #include "telemetry/registry.h"
@@ -91,35 +90,12 @@ class worker {
   // Executes t and deletes it.
   void run(task* t);
 
-  // One scheduling step: handoff mailbox, local pop, board visit, or one
-  // round of steal attempts. Returns true if progress was made, or if
-  // `done` (the caller's work_until predicate) came to hold during the
-  // steal round. A round that ends early because a loop was posted goes
-  // straight back to the board visit instead of returning.
+  // One scheduling step: local pop, board visit, or one round of steal
+  // attempts. Returns true if progress was made, or if `done` (the
+  // caller's work_until predicate) came to hold during the steal round. A
+  // round that ends early because a loop was posted goes straight back to
+  // the board visit instead of returning.
   bool try_progress(park_predicate done = {});
-
-  // ---- push-based work handoff (docs/runtime.md) --------------------
-  // Consumes this worker's own handoff mailbox, if full: runs the
-  // pre-split range it carries. Checked FIRST in try_progress, so a woken
-  // worker executes its delivered work with zero steal probes.
-  bool try_consume_handoff();
-
-  // Poach/drain variant: consumes worker v's mailbox from this worker.
-  // Steal rounds use it to rescue a stranded deposit (failed wake the
-  // donor lost the reclaim race for, or a chaos-dropped wake); the
-  // shutdown path uses it to sweep every mailbox.
-  bool try_consume_handoff_from(std::uint32_t v);
-
-  // Donor side: pre-splits half of this worker's innermost open range
-  // slot (the exact thief protocol, so the Corollary-6 span bound is
-  // untouched) into a parked peer's mailbox and issues the targeted wake;
-  // called by the sched layer right after it opens a span. Returns true
-  // when the range was delivered (wake sent, or a racing consumer took
-  // it) — no further notify needed; false means nothing was handed off
-  // (no waiter, mailbox busy, pre-split failed, or the deposit was
-  // reclaimed and already run here) and the caller must fall back to
-  // notify_work().
-  bool donate_range();
 
   worker_stats stats() const noexcept { return tel_.counters.snapshot(); }
 
@@ -177,9 +153,9 @@ class worker {
   // Steal backoff: work is visible but this worker cannot get any
   // (another owner's static block, a drained queue, a span too small to
   // split). It waits on its own CPU, in a yield loop, for a bounded
-  // exponential jittered time, and stops early at a new board post, a
-  // deposit in its own mailbox, `done`, or shutdown. A park would make
-  // its arrival at the next loop wait for a futex wake.
+  // exponential jittered time, and stops early at a new board post,
+  // `done`, or shutdown. A park would make its arrival at the next loop
+  // wait for a futex wake.
   void backoff_nap(park_predicate done);
   static constexpr int kMaxBackoffLevel = 7;  // 2us << 7 = 256us cap input
 
@@ -188,25 +164,17 @@ class worker {
   // caller's board visit (`posted`) or the caller's wait is over (`done`).
   enum class round_end : std::uint8_t { hit, miss, posted, done };
 
-  // One round of steal attempts: up to P probes of uniformly random
-  // victims (PAPER.md §1, steps 3-4). Each probe tries the victim's range
-  // slots, then one deque steal, then its handoff mailbox. `posts_seen` is
-  // the board's post count read before the caller's visit; it and `done`
-  // are checked before every probe.
+  // One round of steal attempts: a probe of the worker a hinted wake named
+  // (wake_hint_), if any, then up to P probes of uniformly random victims
+  // (PAPER.md §1, steps 3-4). Each probe tries the victim's range slots,
+  // then one deque steal. `posts_seen` is the board's post count read
+  // before the caller's visit; it and `done` are checked before every
+  // probe.
   round_end try_steal_round(std::uint64_t posts_seen, park_predicate done);
-
-  // Runs a payload taken from a handoff mailbox.
-  void run_handoff(handoff_item& it);
 
   // Records the CPU-time clock of the thread that runs this worker. The
   // runtime constructor calls it before the watchdog starts.
   void bind_cpu_clock(pthread_t thread) noexcept;
-
-  // Handoff donor plumbing (worker.cpp): target selection + mailbox claim,
-  // and the wake-or-reclaim tail of donate_range.
-  handoff_slot* claim_handoff_target(std::uint32_t* target_out);
-  bool deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
-                          std::int64_t iters, handoff_item* back);
 
   runtime& rt_;
   std::uint32_t id_;
@@ -228,6 +196,9 @@ class worker {
   // Steal-backoff state (owner thread only): the current exponent of the
   // nap length.
   int backoff_level_ = 0;
+  // Owner only: the span owner a hinted wake named (runtime::notify_work),
+  // kept from the park until the next steal round probes it first.
+  std::uint32_t wake_hint_ = parking_lot::kNoHint;
 };
 
 }  // namespace hls::rt

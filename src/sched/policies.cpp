@@ -190,10 +190,9 @@ void range_span::run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
     ctx->run_range(w, lo, hi);
     return;
   }
-  // With a parked peer, the wake itself carries the span's upper half
-  // (donate-on-open, docs/runtime.md "Push-based handoff"); otherwise fall
-  // back to the bare targeted wake and let the woken worker probe.
-  if (!w.donate_range()) w.rt().notify_work();
+  // Wake one parked peer and name this worker as the span's owner: its
+  // next steal round probes here first (docs/runtime.md "Hinted wakes").
+  w.rt().notify_work(1, w.id());
   owner_loop(w, *slot, ctx, lo, floor);
 }
 

@@ -32,10 +32,10 @@ inline constexpr std::uint64_t kSplitTargetNs = 4000;
 // State shared by every chunk of one parallel loop. It lives in the
 // posting worker's parallel_for frame, as does the policy record, and
 // everything else refers to it by plain pointer: each holder either holds
-// unretired iterations (an open span, a stolen range, a handoff payload),
-// so the loop cannot join and the frame cannot return, or is a board
-// visitor, which board::clear drains before parallel_for returns
-// (docs/runtime.md "Loop lifetime").
+// unretired iterations (an open span or a stolen range), so the loop
+// cannot join and the frame cannot return, or is a board visitor, which
+// board::clear drains before parallel_for returns (docs/runtime.md "Loop
+// lifetime").
 struct loop_ctx {
   // Why this loop stopped handing out bodies (maps onto loop_status).
   enum : std::uint8_t { kRunning = 0, kCancelled = 1, kDeadline = 2 };

@@ -197,7 +197,7 @@ std::size_t write_worker_events(chrome_trace_writer& w, registry& reg) {
         break;
       case event_kind::handoff:
         w.add_instant(kWorkerPid, tid, "handoff", e.ts_ns,
-                      "\"target\":" + i64(e.a) + ",\"iters\":" + i64(e.b));
+                      "\"owner\":" + i64(e.a) + ",\"iters\":" + i64(e.b));
         break;
       case event_kind::stall_span:
         // Emitted on the watchdog lane: an instant mark at detection,

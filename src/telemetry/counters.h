@@ -32,7 +32,7 @@
   X(claim_sequences, "passes through the hybrid claim loop")             \
   X(idle_sleeps, "idle parks that actually blocked")                     \
   X(idle_sleep_ns, "time spent blocked in idle parks, ns")               \
-  X(wakes_sent, "wakes delivered by notify_work and unpark_at")         \
+  X(wakes_sent, "wakes delivered by notify_work")                       \
   X(wakes_spurious, "wakes that found no visible work")                  \
   X(range_steals, "successful range-slot steals (upper half of a "      \
                   "published span)")                                     \
@@ -57,12 +57,10 @@
                       "construction (team shrank)")                       \
   X(alloc_fallbacks, "spans run as serial chunks because every range "   \
                      "slot was open")                                     \
-  X(handoffs_sent, "work handoffs deposited and signalled (targeted "    \
-                   "wake carrying a pre-split range)")                    \
-  X(handoffs_consumed, "handoff payloads taken from this worker's own "  \
-                       "mailbox or poached from a peer's")                \
-  X(handoffs_reclaimed, "deposits taken back by the donor after a "      \
-                        "failed targeted wake (waiter vanished)")
+  X(handoffs_sent, "span-open wakes delivered (hinted wakes naming the " \
+                   "span's owner)")                                       \
+  X(handoffs_consumed, "range steals made on the first probe of a "     \
+                       "hinted wake (the wake found its span)")
 
 #define HLS_TELEMETRY_MAX_COUNTERS(X)                                    \
   X(max_claim_seq_len, "longest claim sequence: max consecutive failed " \

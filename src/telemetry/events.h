@@ -36,9 +36,9 @@ enum class event_kind : std::uint8_t {
                    //   dur_ns=0: instant mark at detection time;
                    //   dur_ns>0: the completed stall, emitted when the
                    //   worker's heartbeat resumes (watchdog lane)
-  handoff,         // push-based work handoff sent     a=target   b=iters
-                   //   emitted by the donor at the targeted wake;
-                   //   rendered on the wake track
+  handoff,         // range steal on a hinted probe    a=owner    b=iters
+                   //   emitted by the woken worker when the probe a
+                   //   span-open wake named takes part of that span
 };
 
 struct event {

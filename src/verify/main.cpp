@@ -79,14 +79,6 @@ const model_spec kSpecs[] = {
     {"parking-join-broken-nobroadcast",
      "join with the retire unpark_all omitted (sleeps past completion)",
      true, 3},
-    {"handoff",
-     "push-based handoff: deposit/unpark_at vs consume/poach/reclaim, "
-     "exactly-once + no lost work",
-     false, 3},
-    {"handoff-broken-dropped",
-     "handoff dropped on a failed wake with every rescue removed (lost "
-     "work)",
-     true, 3},
 };
 
 std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
@@ -119,9 +111,6 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
   if (name == "parking-join") return hls::verify::make_join_model(false);
   if (name == "parking-join-broken-nobroadcast")
     return hls::verify::make_join_model(true);
-  if (name == "handoff") return hls::verify::make_handoff_model(false);
-  if (name == "handoff-broken-dropped")
-    return hls::verify::make_handoff_model(true);
   return nullptr;
 }
 

@@ -33,11 +33,11 @@
 //                deadlocks (detected, with the interleaving that lost the
 //                wake). The fan-out case adds that one unpark_n(k) reaches
 //                k distinct waiters and that every wake it counts is
-//                received; merging a wake into a pending slot is caught
-//                as a wake no waiter received. The join case adds that a
-//                work_until joiner parked with no visible work is woken
-//                by the retire broadcast alone; without it, caught as a
-//                deadlock.
+//                received, carrying its own call's hint; merging a wake
+//                into a pending slot is caught as a wake no waiter
+//                received. The join case adds that a work_until joiner
+//                parked with no visible work is woken by the retire
+//                broadcast alone; without it, caught as a deadlock.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +91,8 @@ std::unique_ptr<model> make_parking_model(bool broken_skip_recheck);
 
 // Fan-out case of the parking model: a poster posts two one-chunk loops
 // (unpark_n(1) each), joins, then posts one block per team member with a
-// single unpark_n(2) — both parked members must wake from that one call.
+// single unpark_n(2) — both parked members must wake from that one call,
+// and each received wake must carry its own call's hint.
 // broken_merge_pending selects parking_policy_merge_pending, letting
 // unpark_n re-bump a slot whose wake is still pending and count it as
 // delivered (two wakes merged into one; caught as a lost wakeup: a wake
@@ -105,15 +106,5 @@ std::unique_ptr<model> make_parking_fanout_model(bool broken_merge_pending);
 // the broadcast, leaving a joiner parked with no visible work to lean on
 // the (harness-disabled) backstop timeout — caught as a deadlock.
 std::unique_ptr<model> make_join_model(bool broken_no_broadcast);
-
-// Push-based work handoff: donor deposit/publish + targeted unpark_at vs
-// the owner's consume, a thief's poach, and the donor's failed-wake
-// reclaim, over handoff_slot_core + parking_lot_core. Lost work is
-// modeled as a deadlock (the donor cannot retire the loop until the
-// payload executes). broken_dropped drops the deposit on a failed wake
-// with every rescue layer removed (no reclaim, no mailbox term in the
-// idle re-check, no poach) — caught as a deadlock with the stranding
-// interleaving.
-std::unique_ptr<model> make_handoff_model(bool broken_dropped);
 
 }  // namespace hls::verify

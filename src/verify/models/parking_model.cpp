@@ -202,7 +202,10 @@ class join_model final : public model {
 // zero, and every wake unpark_n reports as delivered is received by a
 // waiter — in park() or in a cancel_park() that consumed it. A wake that
 // is reported sent but that no waiter receives is a lost wakeup, and it
-// is what wakes_sent would overcount.
+// is what wakes_sent would overcount. Each unpark_n call carries its own
+// hint (its index), and every received wake must bring its own call's
+// hint: a wake with another call's hint is one the runtime's
+// handoffs_consumed would credit to the wrong span.
 //
 // The broken variant (parking_policy_merge_pending) lets unpark_n re-bump
 // a slot whose wake is still pending. In the interleaving where loop 1's
@@ -220,8 +223,9 @@ class fanout_model final : public model {
     hls::verify::atomic<std::uint32_t> blocks{0};   // loop 2 posted
     hls::verify::atomic<std::uint32_t> blocks_run{0};
     std::uint32_t chunk_runs = 0;
-    std::uint32_t sent = 0;              // poster: unpark_n's delivered count
+    std::uint32_t sent[2] = {0, 0};      // per unpark_n call: wakes delivered
     std::uint32_t received[2] = {0, 0};  // per member: wakes consumed
+    std::uint32_t hinted[2] = {0, 0};    // per call: wakes with its hint
     bool member_done[2] = {false, false};
   };
 
@@ -248,9 +252,12 @@ class fanout_model final : public model {
     check(s.member_done[0] && s.member_done[1], "a team member did not finish");
     check(s.chunk_runs == 1, "loop 1 chunk not run exactly once");
     check(s.blocks_run.raw() == 2, "a loop 2 block did not run");
-    check(s.sent == s.received[0] + s.received[1],
+    check(s.sent[0] + s.sent[1] == s.received[0] + s.received[1],
           "lost wakeup: unpark_n reported a wake that no waiter received (two "
           "wakes merged into one signal)");
+    check(s.hinted[0] == s.sent[0] && s.hinted[1] == s.sent[1],
+          "a received wake carried another unpark_n call's hint (a handoff "
+          "credited to the wrong span)");
     check(s.lot.waiters() == 0, "waiter count leaked");
   }
 
@@ -266,14 +273,19 @@ class fanout_model final : public model {
 
   static void poster(state& s) {
     s.chunk.store(1, std::memory_order_seq_cst);
-    s.sent += s.lot.unpark_n(1);
+    s.sent[0] = s.lot.unpark_n(1, 0);
     take_chunk(s);
     s.blocks.store(1, std::memory_order_seq_cst);
-    s.sent += s.lot.unpark_n(2);
+    s.sent[1] = s.lot.unpark_n(2, 1);
+  }
+
+  // One consumed wake, filed under the hint it brought.
+  static void receive(state& s, std::uint32_t slot, std::uint32_t hint) {
+    ++s.received[slot - 1];
+    if (hint < 2) ++s.hinted[hint];
   }
 
   void member(state& s, std::uint32_t slot) {
-    std::uint32_t& received = s.received[slot - 1];
     const auto work_visible = [&] {
       return s.blocks.load(std::memory_order_seq_cst) != 0 ||
              (s.chunk.load(std::memory_order_seq_cst) != 0 &&
@@ -284,14 +296,17 @@ class fanout_model final : public model {
       if (s.blocks.load(std::memory_order_seq_cst) != 0) break;
       const std::uint32_t ticket = s.lot.prepare_park(slot);
       if (work_visible()) {
-        if (s.lot.cancel_park(slot)) ++received;
+        std::uint32_t hint = lot_t::kNoHint;
+        if (s.lot.cancel_park(slot, &hint)) receive(s, slot, hint);
         continue;
       }
       const auto res = s.lot.park(slot, ticket, std::chrono::milliseconds(1));
       check(res.reason != lot_t::wake_reason::timeout,
             "park resolved to a backstop timeout under the harness (a wake "
             "edge is missing)");
-      if (res.reason == lot_t::wake_reason::notified) ++received;
+      if (res.reason == lot_t::wake_reason::notified) {
+        receive(s, slot, res.hint);
+      }
     }
     s.blocks_run.fetch_add(1, std::memory_order_seq_cst);
     s.member_done[slot - 1] = true;

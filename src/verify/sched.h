@@ -4,8 +4,8 @@
 // A model (see verify::model below and src/verify/models/) declares a
 // fixed set of logical threads whose bodies exercise a shipping protocol
 // template (ws_deque_core, range_slot_core, parking_lot_core,
-// handoff_slot_core, claim_bitmap_core — the last driven by the real
-// run_claim_loop) instantiated over verify_traits (verify/shim.h). Every
+// claim_bitmap_core — the last driven by the real run_claim_loop)
+// instantiated over verify_traits (verify/shim.h). Every
 // shared-memory operation the shim performs first parks its thread at an
 // *op point*; the scheduler then picks which thread's pending operation
 // executes next. Re-running the model under systematically varied picks

@@ -138,9 +138,7 @@ TEST(ChaosSched, ForcedBoardOverflowStillCompletes) {
 // keeps every exactly-once test green, so this one counts draws instead.
 // Each seed runs the default mix (which leaves body_throw at 0) plus one
 // throw_at site over the five parallel policies and a task_group, until
-// every hook has fired. thread_spawn (degrade_test) and handoff_drop
-// (RuntimeHandoff.ChaosHandoffDropKeepsExactlyOnce200Seeds) have their own
-// tests.
+// every hook has fired. thread_spawn has its own test (degrade_test).
 TEST(ChaosSched, EveryHookSiteFires) {
   using faultsim::hook;
   constexpr hook kHooks[] = {hook::claim_peek,  hook::claim_fail,

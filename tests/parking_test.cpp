@@ -1,9 +1,9 @@
 // Parking subsystem suite: the per-worker parking_lot protocol (prepare /
-// cancel / park / unpark / unpark_n), the runtime wake path built on it,
-// and a chaos-seeded run that shakes the park/unpark edges under fault
-// injection. The wall-clock latency tests (the pickup that replaced the
-// old 200 µs poll, whole-team arrival) live in wake_latency_test.cpp,
-// which runs serially.
+// cancel / park / unpark / unpark_n and the hint a wake carries), the
+// runtime wake path built on it, and a chaos-seeded run that shakes the
+// park/unpark edges under fault injection. The wall-clock latency tests
+// (the pickup that replaced the old 200 µs poll, whole-team arrival) live
+// in wake_latency_test.cpp, which runs serially.
 #include "runtime/parking.h"
 
 #include <gtest/gtest.h>
@@ -155,6 +155,39 @@ TEST(ParkingLot, CancelConsumesPendingWake) {
   EXPECT_FALSE(pl.park(0, ticket, 10ms).waited);
 }
 
+// A hint rides with the wake unpark_n delivered: of one hinted and one
+// plain wake, exactly one waiter brings the hint back out of park().
+TEST(ParkingLot, HintRidesWithItsWake) {
+  parking_lot pl(3);
+  const std::uint32_t t1 = pl.prepare_park(1);
+  const std::uint32_t t2 = pl.prepare_park(2);
+  EXPECT_EQ(pl.unpark_n(1, 7), 1u);
+  EXPECT_EQ(pl.unpark_n(1), 1u);
+  const parking_lot::park_result r1 = pl.park(1, t1, 10ms);
+  const parking_lot::park_result r2 = pl.park(2, t2, 10ms);
+  EXPECT_EQ(r1.reason, parking_lot::wake_reason::notified);
+  EXPECT_EQ(r2.reason, parking_lot::wake_reason::notified);
+  EXPECT_TRUE((r1.hint == 7 && r2.hint == parking_lot::kNoHint) ||
+              (r1.hint == parking_lot::kNoHint && r2.hint == 7))
+      << r1.hint << " " << r2.hint;
+}
+
+// cancel_park hands a landed wake's hint over and clears it, so the slot's
+// next wake, here a broadcast, carries no stale hint.
+TEST(ParkingLot, CancelParkHandsOverTheHintOnce) {
+  parking_lot pl(2);
+  (void)pl.prepare_park(1);
+  EXPECT_EQ(pl.unpark_n(1, 0), 1u);
+  std::uint32_t hint = parking_lot::kNoHint;
+  EXPECT_TRUE(pl.cancel_park(1, &hint));
+  EXPECT_EQ(hint, 0u);
+  const std::uint32_t ticket = pl.prepare_park(1);
+  pl.unpark_all();
+  const parking_lot::park_result res = pl.park(1, ticket, 10ms);
+  EXPECT_EQ(res.reason, parking_lot::wake_reason::notified);
+  EXPECT_EQ(res.hint, parking_lot::kNoHint);
+}
+
 // Stress: waiters park/unpark in a tight loop against a producer issuing
 // targeted wakes. Progress (no deadlock, no lost waiter accounting) is the
 // property; exact wake pairing is timing-dependent by design.
@@ -225,6 +258,40 @@ TEST(RuntimeWake, WakeCountersAccountTargetedWakes) {
   // wakes must have been sent (exact counts are timing-dependent).
   EXPECT_GT(total.wakes_sent, 0u);
   EXPECT_GT(total.idle_sleeps, 0u);
+}
+
+// A span-open wake names the span's owner: a peer parked when worker 0
+// opens a dynamic_ws span is woken with worker 0's id, and its first probe
+// takes part of that span. Hinted wakes are a subset of the wakes sent,
+// and each hint is spent at most once, so consumed <= sent <= wakes_sent.
+TEST(RuntimeWake, SpanOpenWakeSendsThePeerToTheSpan) {
+  constexpr std::int64_t kN = std::int64_t{1} << 14;
+  runtime rt(2);
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kN));
+  for (int round = 0;
+       round < 100 && rt.tel().totals().handoffs_consumed == 0; ++round) {
+    // The wake needs a parked peer at span open (bounded wait, as above).
+    const auto parked_by = std::chrono::steady_clock::now() + 2s;
+    while (rt.parking().waiters() == 0 &&
+           std::chrono::steady_clock::now() < parked_by) {
+      std::this_thread::yield();
+    }
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    const loop_result res =
+        for_each(rt, 0, kN, policy::dynamic_ws, [&](std::int64_t i) {
+          hits[static_cast<std::size_t>(i)].fetch_add(
+              1, std::memory_order_relaxed);
+        });
+    ASSERT_TRUE(res.ok());
+    for (std::int64_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << "iteration " << i << " round " << round;
+    }
+  }
+  const telemetry::counter_set total = rt.tel().totals();
+  EXPECT_GT(total.handoffs_consumed, 0u);
+  EXPECT_LE(total.handoffs_consumed, total.handoffs_sent);
+  EXPECT_LE(total.handoffs_sent, total.wakes_sent);
 }
 
 // Chaos-seeded parking run: fault injection skips pops, forces empty steal

@@ -548,8 +548,8 @@ void spin_for(std::chrono::microseconds d) {
 }
 
 // A loop whose last quarter spins 25 us per iteration on 4 workers, posted
-// once the three peers have parked (so the spans reach them as handoffs
-// and steals, as in a steady-state step). A span whose first chunk lands
+// once the three peers have parked (so the spans reach them through hinted
+// wakes and steals, as in a steady-state step). A span whose first chunk lands
 // in that quarter measures a grain far above the split target and lowers
 // the loop's floor, so the heavy quarter runs in more than two chunks per
 // grain. With the grain as a fixed floor it ran in about one chunk per

@@ -20,7 +20,6 @@ CONTRACTS = [
     "src/runtime/deque_core.contract.toml",
     "src/runtime/range_slot_core.contract.toml",
     "src/runtime/parking_core.contract.toml",
-    "src/runtime/handoff_core.contract.toml",
     "src/runtime/board.contract.toml",
     "src/core/claim.contract.toml",
 ]

@@ -2,7 +2,7 @@
 """ordlint: machine-checked memory-ordering contracts for the lock-free cores.
 
 Every hand-rolled protocol in this repo (deque_core.h, range_slot_core.h,
-parking_core.h, handoff_core.h, the claim flags) documents its per-site
+parking_core.h, the loop board, the claim flags) documents its per-site
 memory orders in an ordering table in docs/runtime.md — but a table nobody
 executes drifts. ordlint closes the loop: each protocol ships a
 machine-readable contract sidecar (`*.contract.toml`, next to the source)
@@ -34,7 +34,7 @@ Checks (docs/verification.md "Static ordering contracts"):
   relaxed-guard      ADVISORY: a relaxed load guarding a release-class
                      commit with no confirming re-read of the guard
                      variable — the shape the Dekker re-read patterns in
-                     the range/handoff protocols exist to avoid.
+                     the range slot and board protocols exist to avoid.
 
 Frontends: the default `text` frontend is a dependency-free C++ tokenizer
 tuned to this codebase's house style. When python libclang bindings are

@@ -116,7 +116,7 @@ class RealTree(unittest.TestCase):
                       out)
         self.assertIsNotNone(m, out)
         self.assertGreater(int(m.group(1)), 150, out)
-        self.assertEqual(int(m.group(2)), 6, out)
+        self.assertEqual(int(m.group(2)), 5, out)
 
     def test_clang_frontend_gates_cleanly(self):
         """--frontend=clang must either run (libclang present) or skip
@@ -145,7 +145,6 @@ class DocsRoundTrip(unittest.TestCase):
         "src/runtime/deque_core.contract.toml",
         "src/runtime/range_slot_core.contract.toml",
         "src/runtime/parking_core.contract.toml",
-        "src/runtime/handoff_core.contract.toml",
         "src/runtime/board.contract.toml",
         "src/core/claim.contract.toml",
     ]
@@ -178,6 +177,7 @@ class DocsRoundTrip(unittest.TestCase):
     def test_every_doc_row_exists_in_its_sidecar(self):
         tables = self.doc_tables()
         checked = 0
+        total = 0
         for rel in self.CONTRACTS:
             with open(os.path.join(REPO, rel), "rb") as f:
                 data = tomllib.load(f)
@@ -186,6 +186,7 @@ class DocsRoundTrip(unittest.TestCase):
                           f"{rel}: doc_anchor '{anchor}' has no table in "
                           f"docs/runtime.md")
             entries = data.get("site", [])
+            total += len(entries)
             for row in tables[anchor]:
                 hits = [e for e in entries
                         if e["var"] == row["var"]
@@ -200,7 +201,9 @@ class DocsRoundTrip(unittest.TestCase):
                     f"entry in {rel} — regenerate the table with "
                     f"tools/ordlint/gen_doc_tables.py or fix the contract")
                 checked += 1
-        self.assertGreater(checked, 80, "suspiciously few doc rows parsed")
+        self.assertEqual(checked, total,
+                         "the docs tables and the sidecars differ in row "
+                         "count")
 
     def test_every_sidecar_entry_is_published(self):
         """The reverse direction: a contract entry missing from the docs
