@@ -53,7 +53,7 @@ ctest --test-dir build --output-on-failure
 ctest --test-dir build -j"$(nproc)" --repeat until-fail:3 --output-on-failure
 
 # Deterministic model checking (docs/verification.md): bounded-exhaustive
-# sweeps of the shipping protocol cores, then the seven
+# sweeps of the shipping protocol cores, then the eight
 # seeded-broken variants, whose DETECTION is the pass (hls_verify inverts
 # the exit code for models marked expect-failure). The ctest pass above
 # already ran verify_test/claim_interleaving_test; this sweep exercises
@@ -78,6 +78,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=parking-join --bound=4"
     "--model=deque-broken-nolastcas --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
+    "--model=range_slot-broken-noreread --bound=3"
     "--model=range_word-broken-blindreserve --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
@@ -98,6 +99,7 @@ else
     "--model=parking-join --bound=3"
     "--model=deque-broken-nolastcas --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
+    "--model=range_slot-broken-noreread --bound=3"
     "--model=range_word-broken-blindreserve --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"

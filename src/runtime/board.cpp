@@ -1,7 +1,5 @@
 #include "runtime/board.h"
 
-#include <thread>
-
 #include "runtime/worker.h"
 
 namespace hls::rt {
@@ -25,19 +23,14 @@ int board::post(loop_record* rec) {
 
 void board::clear(int s) {
   if (s < 0) return;
-  // seq_cst unpublish forms the Dekker pair with visitors' seq_cst
-  // readers announce: every visitor either sees the nullptr or is seen
-  // by the drain below.  // ordlint: seq_cst because Dekker store-then-read-other (pairs with readers.fetch_add in for_each_open)
-  slots_[s].ptr.store(nullptr, std::memory_order_seq_cst);
-  // Wait out visitors that announced themselves before the unpublish; a
+  // Unpublish, then wait out visitors that entered the gate before it; a
   // finished record's participate() returns promptly, so this is brief.
-  // acquire pairs with visitors' release fetch_sub: their record use
-  // happens-before this return, after which the poster frees the record.
-  while (slots_[s].readers.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
+  // Their record use happens-before this return, after which the poster
+  // frees the record.
+  slot& sl = slots_[s];
+  sl.gate.retract(sl.ptr, nullptr);
   std::lock_guard<std::mutex> lk(mu_);
-  slots_[s].occupied = false;
+  sl.occupied = false;
 }
 
 template <typename Fn>
@@ -47,17 +40,12 @@ void board::for_each_open(Fn&& fn) {
   for (int s = kSlots - 1; s >= 0; --s) {
     slot& sl = slots_[s];
     if (sl.ptr.load(std::memory_order_relaxed) == nullptr) continue;
-    // seq_cst announce: Dekker pair with clear()'s seq_cst unpublish.
-    // ordlint: seq_cst because Dekker store-then-read-other (pairs with clear()'s ptr unpublish)
-    sl.readers.fetch_add(1, std::memory_order_seq_cst);
-    // Re-read under the reader mark: either this sees the pointer still
-    // published, or clear() already unpublished it (and is now waiting for
-    // the reader count to drain before the record may be freed).
-    // ordlint: seq_cst because the confirming read of the Dekker pair must not hoist above the announce
-    loop_record* rec = sl.ptr.load(std::memory_order_seq_cst);
+    // The gate re-reads the pointer after announcing this visitor: either
+    // it is still published, or clear() already retracted it (and waits
+    // for this visitor's leave before the record may be freed).
+    loop_record* rec = sl.gate.enter(sl.ptr);
     if (rec != nullptr && !rec->finished()) fn(*rec);
-    // release retire pairs with clear()'s acquire drain load.
-    sl.readers.fetch_sub(1, std::memory_order_release);
+    sl.gate.leave();
   }
 }
 

@@ -11,18 +11,19 @@
 // poster's frame (sched/parallel_for.cpp), which must not return before
 // clear() does. post/clear are rare (once per loop) and serialize on a
 // mutex; the hot visit path is lock-free. Each slot pairs a raw published
-// pointer with a visitor reader count: clear() unpublishes the pointer and
-// then waits for in-flight visitors of that slot before it frees the slot
-// (and the poster frees the record), and visitors re-check the pointer
-// after announcing themselves, so either the visitor sees the unpublish or
-// clear waits.
+// pointer with a reader gate (runtime/reader_gate_core.h, the same gate
+// the range slot closes through): a visitor reads the pointer through the
+// gate, and clear() retracts it through the gate, which waits out every
+// visitor that may still hold the record before the slot is freed (and
+// the poster frees the record).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 
-#include "util/cacheline.h"
+#include "runtime/reader_gate_core.h"
+#include "verify/sync.h"
 
 namespace hls::rt {
 
@@ -69,7 +70,7 @@ class board {
   // outlive the matching clear().
   int post(loop_record* rec);
 
-  // Unpublishes the slot and blocks until in-flight visitors leave it;
+  // Unpublishes the slot and spins until in-flight visitors leave it;
   // once it returns no visitor touches the record again. Must only be
   // called after the loop has finished (visitors of a finished record
   // return promptly).
@@ -96,24 +97,19 @@ class board {
 
  private:
   struct slot {
-    // Dekker pair between for_each_open's (readers++; re-read ptr) and
-    // clear's (ptr = null; drain readers): the announce fetch_add and the
-    // unpublish store are seq_cst so the two sides cannot both miss each
-    // other; the retire fetch_sub (release) pairs with the drain load
-    // (acquire) to order record use before clear() returns and the poster
-    // frees the record. Full table: docs/runtime.md#board-contract,
-    // contract: board.contract.toml.
+    // Published by post (release), read by visitors through the gate and
+    // retracted by clear through it. Contracts: board.contract.toml and
+    // reader_gate_core.contract.toml (docs/runtime.md#board-contract).
     std::atomic<loop_record*> ptr{nullptr};
-    alignas(kCacheLine) std::atomic<int> readers{0};
     // Taken by post, freed by clear after the drain: a slot whose record
     // is unpublished but still has visitors is not reused.
     bool occupied = false;  // guarded by mu_
+    reader_gate_core<sync::real_traits> gate;  // its own cache line
   };
 
   // Calls fn(rec) for each published, unfinished record, innermost first,
-  // inside the readers announce/re-read/retire walk that is the visitor
-  // half of the Dekker pair with clear(). visit() and request_rescue() are
-  // its two callers (board.cpp).
+  // inside the slot's reader gate, the visitor half of clear()'s retract.
+  // visit() and request_rescue() are its two callers (board.cpp).
   template <typename Fn>
   void for_each_open(Fn&& fn);
 

@@ -116,7 +116,7 @@ class parking_lot_core {
     waiters_.fetch_add(1, std::memory_order_relaxed);
     // Dekker, waiter side: the waiter announcement above must be ordered
     // before the caller's work re-check. Pairs with the seq_cst fence in
-    // unpark_n/unpark_all (work publication before the waiter scan).
+    // unpark_n (work publication before the waiter scan).
     Traits::fence(std::memory_order_seq_cst);
     return ticket;
   }
@@ -251,29 +251,10 @@ class parking_lot_core {
   // Wakes exactly one announced waiter; true when one was signalled.
   bool unpark_one() noexcept { return unpark_n(1) != 0; }
 
-  // Wakes every announced waiter (loop completion, join edges, shutdown).
-  void unpark_all() noexcept {
-    Traits::fence(std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_relaxed) == 0) return;
-    for (std::uint32_t w = 0; w < n_; ++w) {
-      slot& s = slots_[w];
-      // Relaxed for the same reason as the unpark_n scan.
-      if (s.state.load(std::memory_order_relaxed) == kActive) continue;
-      bool signalled = false;
-      {
-        hls::scoped_lock<mutex_t> lg(s.mu);
-        if (s.state.load(std::memory_order_relaxed) != kActive) {
-          // A broadcast wakes everyone, so an already-pending slot is
-          // bumped again rather than skipped; the waiter consumes both as
-          // one, and a hint the pending wake carries stays with it.
-          s.epoch.fetch_add(1, std::memory_order_relaxed);
-          s.wake_pending = true;
-          signalled = true;
-        }
-      }
-      if (signalled) s.cv.notify_one();
-    }
-  }
+  // Wakes every announced waiter (loop completion, join edges): a budget
+  // of every slot. A waiter whose wake is still pending wakes anyway, and
+  // keeps that wake's hint.
+  void unpark_all() noexcept { unpark_n(n_); }
 
   // Latches stop and wakes everyone; park() calls return wake_reason::stop
   // from then on.

@@ -21,11 +21,11 @@
 //           reserve(): CAS {split, hi} -> {split', hi} claiming
 //                      [split, split') for itself (amortized: one CAS per
 //                      ~1/8 of the remaining range, not per chunk)
-//           close():   word.exchange(kClosed, seq_cst), then spin until
-//                      readers == 0 (drain)
-//   thief   try_steal(): readers.fetch_add(seq_cst); load word (seq_cst);
-//                      CAS {split, hi} -> {split, mid};
-//                      readers.fetch_sub(release)
+//           close():   gate.retract(word, kClosed): a seq_cst exchange,
+//                      then a drain of in-flight thieves
+//   thief   try_steal(): w = gate.enter(word) (announce, then a seq_cst
+//                      load); CAS {split, hi} -> {split, mid};
+//                      gate.leave()
 //
 // Exactly-once follows from the word's atomicity: every claim is a CAS
 // from the value its claimant read, split only rises (the owner) and hi
@@ -35,9 +35,10 @@
 // word load, which reads from open()'s release store or from a CAS in
 // that store's release sequence.
 //
-// Lifetime safety mirrors the board's reader-count drain: a thief touches
-// the plain fields (ctx/runner/base/span/shift) only between the reader
-// announce and retreat while the word was observed open; close() waits
+// Lifetime safety is the reader gate's (runtime/reader_gate_core.h, the
+// same gate the loop board uses): a thief touches the plain fields
+// (ctx/runner/base/span/shift) only inside the gate while the word was
+// observed open; close() retracts the word through the gate, which waits
 // out every such reader before the owner may rewrite the fields for the
 // next span. ABA is structurally impossible: within one open the word is
 // strictly monotone, and a reopened slot cannot be reached by a stale CAS
@@ -66,15 +67,20 @@
 #include <cassert>
 #include <cstdint>
 
+#include "runtime/reader_gate_core.h"
 #include "util/cacheline.h"
 
 namespace hls::rt {
 
-// close_drain: close() unpublishes with a seq_cst exchange and waits out
-// in-flight readers. Disabling it downgrades close() to a plain relaxed
-// store with no drain — reintroducing the use-after-reopen race the drain
-// exists to prevent; the verification suite proves the harness flags it
-// (a vector-clock data race on the span fields).
+// close_drain: close() retracts the word through the reader gate.
+// Disabling it downgrades close() to a plain relaxed store with no drain —
+// reintroducing the use-after-reopen race the drain exists to prevent;
+// the verification suite proves the harness flags it (a vector-clock data
+// race on the span fields).
+//
+// reread: the gate reads the word after the thief's announce. Disabling
+// it lets the drain miss a thief that read the word first — the same
+// race, caught by the range_slot-broken-noreread model.
 //
 // reserve_cas: the owner claims its batch with a CAS on the word.
 // Disabling it makes reserve() a load-then-store that can write back a hi
@@ -83,16 +89,25 @@ namespace hls::rt {
 // range_word-broken-blindreserve model).
 struct range_slot_policy_default {
   static constexpr bool close_drain = true;
+  static constexpr bool reread = true;
   static constexpr bool reserve_cas = true;
 };
 
 struct range_slot_policy_no_drain {
   static constexpr bool close_drain = false;
+  static constexpr bool reread = true;
+  static constexpr bool reserve_cas = true;
+};
+
+struct range_slot_policy_no_reread {
+  static constexpr bool close_drain = true;
+  static constexpr bool reread = false;
   static constexpr bool reserve_cas = true;
 };
 
 struct range_slot_policy_blind_reserve {
   static constexpr bool close_drain = true;
+  static constexpr bool reread = true;
   static constexpr bool reserve_cas = false;
 };
 
@@ -209,25 +224,13 @@ class range_slot_core {
   bool close() noexcept {
     std::uint64_t last;
     if constexpr (Policy::close_drain) {
-      // The seq_cst exchange is one side of a Dekker handshake with
-      // try_steal(): a thief either announced itself before this store
-      // (the drain below waits it out) or its word load sees kClosed and
-      // bails.
-      last = word_.exchange(kClosed, std::memory_order_seq_cst);
+      // Afterwards no thief reads the fields or holds a pre-close word.
+      last = gate_.retract(word_, kClosed);
     } else {
       last = word_.load(std::memory_order_relaxed);
       word_.store(kClosed, std::memory_order_relaxed);
     }
     owner_open_.store(false);
-    if constexpr (Policy::close_drain) {
-      // Drain: after this loop no thief can still be reading the span
-      // fields (its release fetch_sub happens-before our
-      // acquire-or-stronger load), so the next open() may rewrite them
-      // without a race. A stale pre-close word value also cannot be CASed
-      // over a reopened slot, because every thief holding one retreated
-      // here first.
-      while (readers_.load(std::memory_order_seq_cst) != 0) Traits::pause();
-    }
     return (last & kUnitMask) != units_.load();
   }
 
@@ -249,25 +252,24 @@ class range_slot_core {
   // retrying.
   stolen try_steal() noexcept {
     stolen out;
-    // Announce before reading the word (the other side of close()'s
-    // Dekker handshake); the plain field reads below are only legal
-    // between this increment and the decrement while the word was
-    // observed open.
-    readers_.fetch_add(1, std::memory_order_seq_cst);
-    std::uint64_t w = word_.load(std::memory_order_seq_cst);
+    // The gate announces this thief before it reads the word (the other
+    // side of close()'s retract); the plain field reads below are only
+    // legal inside the gate while the word was observed open. The seq_cst
+    // load also acquires open()'s fields through the word's release
+    // sequence.
+    std::uint64_t w = gate_.enter(word_);
     if (w != kClosed) {
       const std::uint64_t split = w >> 32;
       const std::uint64_t hi = w & kUnitMask;
       // Steal only when both halves stay >= the floor; smaller remainders
       // are the owner's tail and not worth a migration.
-      // ordlint: relaxed-guard-ok the floor only sizes the steal; the CAS below decides the claim
       if (hi - split >= 2 * grain_.load(std::memory_order_relaxed)) {
         const std::uint64_t mid = split + (hi - split) / 2;
         if (word_.compare_exchange_strong(w, pack(split, mid),
                                           std::memory_order_relaxed,
                                           std::memory_order_relaxed)) {
-          // Still inside the reader window, so close() cannot have
-          // returned and these fields still describe the span just split.
+          // Still inside the gate, so close() cannot have returned and
+          // these fields still describe the span just split.
           const std::int64_t b = base_.load();
           const std::uint64_t span = span_.load();
           const unsigned shift = shift_.load();
@@ -278,7 +280,7 @@ class range_slot_core {
         }
       }
     }
-    readers_.fetch_sub(1, std::memory_order_release);
+    gate_.leave();
     return out;
   }
 
@@ -307,9 +309,9 @@ class range_slot_core {
     return std::min(u << shift, span);
   }
 
-  // Owner-written span fields. Thieves read them only inside the reader
-  // announce/retreat window after observing the word open; the close()
-  // drain orders those reads before any rewrite (see header comment).
+  // Owner-written span fields. Thieves read them only inside the gate
+  // after observing the word open; close()'s retract orders those reads
+  // before any rewrite (see header comment).
   // Routed through Traits::var so the harness race-checks exactly the
   // accesses the drain protocol is supposed to order.
   var_t<void*> ctx_{};
@@ -322,15 +324,15 @@ class range_slot_core {
 
   // The split floor in units: written by the owner only (open,
   // set_grain), read by the owner's reserve and by thieves inside the
-  // reader window. Relaxed throughout; see the header comment.
+  // gate. Relaxed throughout; see the header comment.
   atomic_t<std::uint64_t> grain_{1};
 
   // The packed {split:32 | hi:32} word (units from base_), CASed by the
   // owner (reserve) and thieves (steal); kClosed when no span is open.
   alignas(kCacheLine) atomic_t<std::uint64_t> word_{kClosed};
 
-  // In-flight thief probes (the board-style drain counter).
-  alignas(kCacheLine) atomic_t<std::uint32_t> readers_{0};
+  // In-flight thief probes; close() drains them.
+  reader_gate_core<Traits, Policy::reread> gate_;
 };
 
 }  // namespace hls::rt

@@ -232,8 +232,9 @@ bool runtime::work_visible() const noexcept {
   return false;
 }
 
-runtime::park_outcome runtime::idle_park(worker& w, park_predicate done) {
-  if (stopping()) return {false, parking_lot::wake_reason::stop};
+parking_lot::park_result runtime::idle_park(worker& w,
+                                            park_predicate done) {
+  if (stopping()) return {parking_lot::wake_reason::stop};
   const std::uint32_t ticket = parking_.prepare_park(w.id());
   // Check-then-park (the lost-wakeup fix): the waiter announcement above
   // is seq_cst-ordered before this re-check, and notify_work's waiter
@@ -247,24 +248,15 @@ runtime::park_outcome runtime::idle_park(worker& w, park_predicate done) {
   if (stopping() || work_visible() || done.satisfied()) {
     std::uint32_t hint = parking_lot::kNoHint;
     parking_.cancel_park(w.id(), &hint);
-    return {false, parking_lot::wake_reason::notified, hint};
+    return {parking_lot::wake_reason::notified, false, hint};
   }
-  const parking_lot::park_result res =
-      parking_.park(w.id(), ticket, opt_.park_backstop);
-  return {res.waited, res.reason, res.hint};
+  return parking_.park(w.id(), ticket, opt_.park_backstop);
 }
 
 void runtime::worker_main(std::uint32_t id) {
   worker& w = *workers_[id];
   tls_worker = &w;
-  int idle = 0;
-  while (!stopping()) {
-    if (w.try_progress()) {
-      idle = 0;
-    } else {
-      w.pause(++idle);
-    }
-  }
+  w.work_until([this] { return stopping(); });
   tls_worker = nullptr;
 }
 

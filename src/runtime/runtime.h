@@ -151,14 +151,6 @@ class runtime {
   // identified, and on shutdown.
   void notify_all() noexcept;
 
-  // Outcome of one idle_park call.
-  struct park_outcome {
-    bool blocked = false;  // the worker actually parked (count it)
-    parking_lot::wake_reason reason = parking_lot::wake_reason::notified;
-    // The notify_work hint of the wake consumed here, or kNoHint.
-    std::uint32_t hint = parking_lot::kNoHint;
-  };
-
   // Parks worker w until new work is signalled. Encodes the
   // check-then-park protocol: announce the waiter (parking_lot::
   // prepare_park), re-check for visible work AND the caller's own
@@ -169,10 +161,10 @@ class runtime {
   // loop): a completion broadcast that fired before the waiter announced
   // itself found nobody to unpark, so the re-check must re-test the
   // predicate or that edge would silently fall back to the backstop.
-  // Returns blocked == false when the park was cancelled (work or
+  // Returns waited == false when the park was cancelled (work or
   // completion visible, or stopping) — such calls must not be accounted as
-  // idle sleeps.
-  park_outcome idle_park(worker& w, park_predicate done = {});
+  // idle sleeps — and the notify_work hint of the wake consumed, if any.
+  parking_lot::park_result idle_park(worker& w, park_predicate done = {});
 
   // The health watchdog, or nullptr when runtime_options::watchdog is
   // false (runtime/health.h).

@@ -223,15 +223,15 @@ void worker::pause(int idle_count, park_predicate done) {
     }
     const std::uint64_t t0 = tel_.now();
     // Count only parks that actually blocked: idle_park reports
-    // blocked == false when it bailed out in the check-then-park re-check
+    // waited == false when it bailed out in the check-then-park re-check
     // (work or the caller's completion predicate became visible, or the
     // runtime is stopping), and those must not inflate the sleep counter
     // or emit zero-length idle spans.
     hb_parked_.store(1, std::memory_order_relaxed);
-    const runtime::park_outcome out = rt_.idle_park(*this, done);
+    const parking_lot::park_result out = rt_.idle_park(*this, done);
     hb_parked_.store(0, std::memory_order_relaxed);
     wake_hint_ = out.hint;
-    if (!out.blocked) return;
+    if (!out.waited) return;
     backoff_level_ = 0;
     telemetry::bump(tel_.counters.idle_sleeps);
     const std::uint64_t dt = tel_.now() - t0;

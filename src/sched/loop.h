@@ -86,9 +86,9 @@ struct loop_options {
   std::chrono::nanoseconds deadline{0};
 };
 
-// Hard cap on loop_options::partitions, well before next_pow2 rounding
-// would make the per-partition claim flags (one padded cache line each)
-// exhaust memory. Larger requests throw std::invalid_argument.
+// Hard cap on loop_options::partitions. The claim flags take one bit per
+// partition, packed 64 to a padded cache line, so 2^20 flags take 1 MiB.
+// Larger requests throw std::invalid_argument.
 inline constexpr std::uint32_t kMaxLoopPartitions = 1u << 20;
 
 // Why a loop stopped handing out work.

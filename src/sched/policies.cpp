@@ -199,22 +199,15 @@ void range_span::run(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
 // ---------------------------------------------------------------- static
 
 static_record::static_record(loop_ctx& ctx, std::uint32_t num_workers)
-    : ctx_(ctx),
-      blocks_(num_workers == 0 ? 1 : num_workers),
-      taken_(new padded<std::atomic<std::uint8_t>>[blocks_]) {
-  for (std::uint32_t b = 0; b < blocks_; ++b) {
-    taken_[b].value.store(0, std::memory_order_relaxed);
-  }
-}
+    : ctx_(ctx), taken_(num_workers == 0 ? 1 : num_workers) {}
 
 bool static_record::participate(rt::worker& w) {
-  const std::uint32_t b = w.id();
-  if (b >= blocks_) return false;
-  if (taken_[b].value.exchange(1, std::memory_order_acq_rel) != 0) {
+  const std::uint64_t b = w.id();
+  if (b >= taken_.count() || taken_.is_claimed(b) || taken_.test_and_set(b)) {
     return false;
   }
   const core::iter_range rg =
-      core::balanced_range(ctx_.begin, ctx_.end, blocks_, b);
+      core::balanced_range(ctx_.begin, ctx_.end, taken_.count(), b);
   ctx_.run_chunk(w, rg.begin, rg.end);
   return true;
 }

@@ -10,14 +10,15 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 
 #include "core/chunk_queue.h"
+#include "core/claim_bitmap_core.h"
 #include "core/partition_set.h"
 #include "runtime/board.h"
 #include "sched/loop.h"
 #include "util/cacheline.h"
+#include "verify/sync.h"
 
 namespace hls::sched {
 
@@ -183,8 +184,10 @@ class static_record final : public rt::loop_record {
 
  private:
   loop_ctx& ctx_;
-  std::uint32_t blocks_;
-  std::unique_ptr<padded<std::atomic<std::uint8_t>>[]> taken_;
+  // One claim bit per block, in the claim store the hybrid record uses.
+  // Block b's owner peeks before it claims, so an idle re-entry after the
+  // block is taken reads a shared word and writes nothing.
+  core::claim_bitmap_core<sync::real_traits> taken_;
 };
 
 // Central queue (omp dynamic and guided semantics): an arriving worker

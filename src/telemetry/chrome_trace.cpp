@@ -8,6 +8,7 @@
 
 #include "telemetry/registry.h"
 #include "trace/loop_trace.h"
+#include "util/table.h"
 
 namespace hls::telemetry {
 
@@ -21,29 +22,6 @@ std::string us(std::uint64_t ns) {
                 static_cast<unsigned long long>(ns / 1000),
                 static_cast<unsigned long long>(ns % 1000));
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string i64(std::int64_t v) { return std::to_string(v); }
@@ -71,7 +49,9 @@ void chrome_trace_writer::prefix(char phase, int pid, int tid,
   os_ << (count_ == 0 ? "\n" : ",\n");
   ++count_;
   os_ << "{\"ph\":\"" << phase << "\",\"pid\":" << pid << ",\"tid\":" << tid
-      << ",\"name\":\"" << json_escape(name) << "\",\"ts\":" << us(ts_ns);
+      << ",\"name\":";
+  json_string(os_, name);
+  os_ << ",\"ts\":" << us(ts_ns);
 }
 
 void chrome_trace_writer::suffix(const std::string& args_json) {
@@ -84,16 +64,18 @@ void chrome_trace_writer::add_thread_name(int pid, int tid,
   os_ << (count_ == 0 ? "\n" : ",\n");
   ++count_;
   os_ << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
-      << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-      << json_escape(name) << "\"}}";
+      << ",\"name\":\"thread_name\",\"args\":{\"name\":";
+  json_string(os_, name);
+  os_ << "}}";
 }
 
 void chrome_trace_writer::add_process_name(int pid, const std::string& name) {
   os_ << (count_ == 0 ? "\n" : ",\n");
   ++count_;
   os_ << "{\"ph\":\"M\",\"pid\":" << pid
-      << ",\"name\":\"process_name\",\"args\":{\"name\":\""
-      << json_escape(name) << "\"}}";
+      << ",\"name\":\"process_name\",\"args\":{\"name\":";
+  json_string(os_, name);
+  os_ << "}}";
 }
 
 void chrome_trace_writer::add_complete(int pid, int tid,
@@ -245,15 +227,19 @@ std::size_t append_loop_trace(chrome_trace_writer& w,
   // One span per recorded chunk, laid out on the global execution
   // sequence axis (1 "us" per chunk) so claim order reads left to right.
   for (const trace::chunk_rec& c : lt.sorted_by_seq()) {
+    // Appended: "[" + std::to_string(...) trips GCC 12's false
+    // -Werror=restrict in Release builds.
+    std::string name = "[";
+    name.append(std::to_string(c.begin)).append(",");
+    name.append(std::to_string(c.end)).append(")");
+    std::string args = "\"lo\":";
+    args.append(i64(c.begin)).append(",\"hi\":").append(i64(c.end));
+    args.append(",\"seq\":").append(i64(static_cast<std::int64_t>(c.seq)));
     w.add_complete(kLoopTracePid,
                    c.worker == trace::loop_trace::kForeignLane
                        ? foreign_tid
                        : static_cast<int>(c.worker),
-                   "[" + std::to_string(c.begin) + "," +
-                       std::to_string(c.end) + ")",
-                   c.seq * 1000, 1000,
-                   "\"lo\":" + i64(c.begin) + ",\"hi\":" + i64(c.end) +
-                       ",\"seq\":" + i64(static_cast<std::int64_t>(c.seq)));
+                   name, c.seq * 1000, 1000, args);
     ++n;
   }
   return n;

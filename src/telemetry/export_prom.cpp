@@ -6,33 +6,10 @@
 #include <ostream>
 #include <string>
 
+#include "util/table.h"
+
 namespace hls::telemetry {
 namespace {
-
-// JSON string escaping (control chars, quote, backslash) — mirrors what
-// chrome_trace.cpp emits so json_lite round-trips both.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Prometheus label-value escaping: backslash, double quote, newline.
 std::string prom_escape(const std::string& s) {
@@ -164,8 +141,9 @@ void write_profiles_jsonl(std::ostream& os, const registry& reg,
   const auto sites = prof.snapshot();
   for (const auto& s : sites) {
     for (const invocation_record& r : s.records) {
-      os << "{\"kind\":\"invocation\",\"site\":\"" << json_escape(s.site)
-         << "\",\"n_bucket\":" << s.n_bucket << ",\"seq\":" << r.seq
+      os << "{\"kind\":\"invocation\",\"site\":";
+      json_string(os, s.site);
+      os << ",\"n_bucket\":" << s.n_bucket << ",\"seq\":" << r.seq
          << ",\"start_ns\":" << r.start_ns << ",\"policy\":\""
          << policy_name(r.pol) << "\",\"partitions\":" << r.partitions
          << ",\"grain\":" << r.grain << ",\"workers\":" << r.workers
@@ -183,8 +161,9 @@ void write_profiles_jsonl(std::ostream& os, const registry& reg,
     }
   }
   for (const auto& s : sites) {
-    os << "{\"kind\":\"site\",\"site\":\"" << json_escape(s.site)
-       << "\",\"n_bucket\":" << s.n_bucket
+    os << "{\"kind\":\"site\",\"site\":";
+    json_string(os, s.site);
+    os << ",\"n_bucket\":" << s.n_bucket
        << ",\"invocations\":" << s.invocations
        << ",\"total_wall_ns\":" << s.total_wall_ns
        << ",\"retained\":" << s.records.size() << "}\n";

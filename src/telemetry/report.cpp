@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "telemetry/chrome_trace.h"
@@ -51,7 +52,10 @@ void print_counters(std::ostream& os, const registry& reg,
                     report_format fmt) {
   std::vector<std::string> header{"counter", "total"};
   for (std::uint32_t w = 0; w < reg.num_workers(); ++w) {
-    header.push_back("w" + std::to_string(w));
+    // Appended: "w" + std::to_string(w) trips GCC 12's false
+    // -Werror=restrict in Release builds.
+    header.emplace_back("w");
+    header.back() += std::to_string(w);
   }
   // The registry's service lane (watchdog counters: stalls_detected,
   // watchdog_wakes) gets its own column so those bumps are attributable
@@ -154,13 +158,9 @@ bool finish(std::ostream& os, registry& reg, const run_options& opt,
   const bool ok = write_chrome_trace_file(opt.trace_out, reg, lt);
   if (opt.format == report_format::json) {
     // Keep stdout one-JSON-object-per-line even for the confirmation.
-    std::string path;
-    for (char c : opt.trace_out) {
-      if (c == '"' || c == '\\') path += '\\';
-      path += c;
-    }
-    os << "{\"section\":\"trace\",\"file\":\"" << path
-       << "\",\"written\":" << (ok ? "true" : "false") << "}\n";
+    os << "{\"section\":\"trace\",\"file\":";
+    json_string(os, opt.trace_out);
+    os << ",\"written\":" << (ok ? "true" : "false") << "}\n";
   } else if (ok) {
     os << "telemetry: Chrome trace written to " << opt.trace_out
        << " (open in Perfetto or chrome://tracing)\n";
@@ -203,13 +203,9 @@ bool run_session::finish(std::ostream& os, const trace::loop_trace* lt) {
   const bool mok = write_metrics_files(opt_.metrics_out, reg_,
                                        sampler_.get(), profiler_.get());
   if (opt_.format == report_format::json) {
-    std::string path;
-    for (char c : opt_.metrics_out) {
-      if (c == '"' || c == '\\') path += '\\';
-      path += c;
-    }
-    os << "{\"section\":\"metrics\",\"file\":\"" << path
-       << "\",\"samples\":" << (sampler_ != nullptr ? sampler_->taken() : 0)
+    os << "{\"section\":\"metrics\",\"file\":";
+    json_string(os, opt_.metrics_out);
+    os << ",\"samples\":" << (sampler_ != nullptr ? sampler_->taken() : 0)
        << ",\"loop_invocations\":"
        << (profiler_ != nullptr ? profiler_->invocations() : 0)
        << ",\"written\":" << (mok ? "true" : "false") << "}\n";

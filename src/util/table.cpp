@@ -85,6 +85,8 @@ bool is_json_number(const std::string& s) {
   return i == s.size();
 }
 
+}  // namespace
+
 void json_string(std::ostream& os, const std::string& s) {
   os << '"';
   for (char c : s) {
@@ -106,6 +108,8 @@ void json_string(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
+
+namespace {
 
 void json_value(std::ostream& os, const std::string& s) {
   if (is_json_number(s)) {

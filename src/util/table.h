@@ -42,4 +42,9 @@ class table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+// Writes s as a JSON string, quotes included: `"`, `\` and every control
+// character are escaped, so any byte string (a file path, a loop label)
+// prints as valid JSON. The one string writer of every JSON emitter.
+void json_string(std::ostream& os, const std::string& s);
+
 }  // namespace hls

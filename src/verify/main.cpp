@@ -46,6 +46,10 @@ const model_spec kSpecs[] = {
     {"range_slot-broken-nodrain",
      "range_slot with close() not draining readers (use-after-reopen race)",
      true, 3},
+    {"range_slot-broken-noreread",
+     "range_slot with the reader gate reading before its announce "
+     "(use-after-reopen race)",
+     true, 3},
     {"range_word",
      "range_slot one-word claims: owner reserve CAS vs thief steal CAS",
      false, 3},
@@ -90,9 +94,15 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
   if (name == "deque") return hls::verify::make_deque_model(false);
   if (name == "deque-broken-nolastcas")
     return hls::verify::make_deque_model(true);
-  if (name == "range_slot") return hls::verify::make_range_slot_model(false);
+  using hls::verify::range_slot_variant;
+  if (name == "range_slot")
+    return hls::verify::make_range_slot_model(range_slot_variant::shipping);
   if (name == "range_slot-broken-nodrain")
-    return hls::verify::make_range_slot_model(true);
+    return hls::verify::make_range_slot_model(
+        range_slot_variant::broken_no_drain);
+  if (name == "range_slot-broken-noreread")
+    return hls::verify::make_range_slot_model(
+        range_slot_variant::broken_no_reread);
   if (name == "range_word") return hls::verify::make_range_word_model(false);
   if (name == "range_word-broken-blindreserve")
     return hls::verify::make_range_word_model(true);

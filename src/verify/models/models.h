@@ -23,9 +23,10 @@
 //                last-element CAS and a ring that grows mid-steal).
 //   range_slot — every iteration of every published span executed exactly
 //                once across owner reserve and thief steals, including a
-//                close-then-reopen of the same slot; the close() drain is
-//                what makes the reopen safe, and the vector-clock checker
-//                is what catches its absence. The range_word variants add
+//                close-then-reopen of the same slot; the reader gate's
+//                retract (exchange, then drain) and re-read are what make
+//                the reopen safe, and the vector-clock checker is what
+//                catches either's absence. The range_word variants add
 //                the split/hi handshake itself, and a split floor the
 //                owner lowers while the thief steals.
 //   parking    — no lost wakeup: a consumer using the prepare/re-check/
@@ -61,8 +62,12 @@ std::unique_ptr<model> make_deque_model(bool broken_no_last_cas);
 // Owner publishing, consuming, closing and REOPENING one range_slot_core
 // span vs a thief probing try_steal. broken_no_drain selects
 // range_slot_policy_no_drain, reintroducing the use-after-reopen race the
-// close() drain prevents (caught as a vector-clock data race).
-std::unique_ptr<model> make_range_slot_model(bool broken_no_drain);
+// close() drain prevents; broken_no_reread selects
+// range_slot_policy_no_reread, whose reader gate reads the word before
+// announcing the thief, the same race by the other side of the Dekker
+// pair. Both are caught as a vector-clock data race.
+enum class range_slot_variant { shipping, broken_no_drain, broken_no_reread };
+std::unique_ptr<model> make_range_slot_model(range_slot_variant v);
 
 // The range_slot's one-word claims: an owner consuming one fine-grained
 // span with reserve CASes on {split | hi} vs a thief's steal CAS on the

@@ -18,11 +18,14 @@
 //     then the owner finishes, closes, reopens — where nothing orders the
 //     thief's field reads before the reopen's writes (the owner never
 //     acquires the thief's release retreat); the harness reports the data
-//     race with the interleaving. Note span 2 deliberately packs the same
-//     initial word as span 1 ({0,4}); the monotonic-word argument alone
-//     does not save a reopened slot, only the drain does. (The split floor
-//     `grain` is a relaxed atomic, not a plain field: the owner may lower
-//     it mid-span.)
+//     race with the interleaving. With range_slot_policy_no_reread (the
+//     reader gate reads the word before its announce) the thief can read
+//     span 1 open, let close()'s drain find no reader, and announce only
+//     after the reopen: its field reads race with span 2's writes the same
+//     way. Note span 2 deliberately packs the same initial word as span 1
+//     ({0,4}); the monotonic-word argument alone does not save a reopened
+//     slot, only the drain does. (The split floor `grain` is a relaxed
+//     atomic, not a plain field: the owner may lower it mid-span.)
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -120,11 +123,18 @@ class range_slot_model_t final : public model {
 
 }  // namespace
 
-std::unique_ptr<model> make_range_slot_model(bool broken_no_drain) {
-  if (broken_no_drain) {
-    return std::make_unique<
-        range_slot_model_t<rt::range_slot_policy_no_drain>>(
-        "range_slot-broken-nodrain");
+std::unique_ptr<model> make_range_slot_model(range_slot_variant v) {
+  switch (v) {
+    case range_slot_variant::broken_no_drain:
+      return std::make_unique<
+          range_slot_model_t<rt::range_slot_policy_no_drain>>(
+          "range_slot-broken-nodrain");
+    case range_slot_variant::broken_no_reread:
+      return std::make_unique<
+          range_slot_model_t<rt::range_slot_policy_no_reread>>(
+          "range_slot-broken-noreread");
+    case range_slot_variant::shipping:
+      break;
   }
   return std::make_unique<
       range_slot_model_t<rt::range_slot_policy_default>>("range_slot");

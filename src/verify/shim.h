@@ -58,6 +58,8 @@ std::uint64_t to_u64(T v) noexcept {
 template <typename T>
 class atomic {
  public:
+  using value_type = T;
+
   atomic() noexcept : atomic(T{}) {}
   explicit atomic(T v) noexcept : v_(v), id_(detail::reg_atomic()) {}
 

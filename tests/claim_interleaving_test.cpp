@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "verify/models/models.h"
@@ -55,11 +56,19 @@ INSTANTIATE_TEST_SUITE_P(
                       size_case{3, 4, -1}, size_case{2, 8, -1},
                       size_case{4, 4, 2}, size_case{4, 8, 2}),
     [](const auto& info) {
-      return "P" + std::to_string(info.param.workers) + "_R" +
-             std::to_string(info.param.partitions) +
-             (info.param.preemption_bound < 0
-                  ? std::string("_full")
-                  : "_b" + std::to_string(info.param.preemption_bound));
+      // Appended, not chained operator+: GCC 12 raises a false
+      // -Werror=restrict on the inlined operator+ in Release builds.
+      std::string name = "P";
+      name += std::to_string(info.param.workers);
+      name += "_R";
+      name += std::to_string(info.param.partitions);
+      if (info.param.preemption_bound < 0) {
+        name += "_full";
+      } else {
+        name += "_b";
+        name += std::to_string(info.param.preemption_bound);
+      }
+      return name;
     });
 
 class RandomInterleavings
@@ -86,8 +95,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint32_t, std::uint64_t>{4, 16},
                       std::pair<std::uint32_t, std::uint64_t>{8, 32}),
     [](const auto& info) {
-      return "P" + std::to_string(info.param.first) + "_R" +
-             std::to_string(info.param.second);
+      std::string name = "P";
+      name += std::to_string(info.param.first);
+      name += "_R";
+      name += std::to_string(info.param.second);
+      return name;
     });
 
 }  // namespace

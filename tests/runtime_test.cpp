@@ -167,6 +167,53 @@ TEST(Board, MultipleRecordsAllVisited) {
   b.clear(s2);
 }
 
+// clear() drains the slot's reader gate: a visitor that entered the record
+// before the unpublish holds clear() until it leaves, so the poster cannot
+// free a record a visitor still uses. Worker 1's idle board visit blocks
+// inside participate(); clear() on another thread must not return until
+// that visit is released, and when it returns the visit has left.
+TEST(Board, ClearWaitsOutAnInFlightVisitor) {
+  using namespace std::chrono_literals;
+  runtime rt(2);
+  struct blocking_record : loop_record {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+    std::atomic<bool> left{false};
+    std::atomic<bool> done{false};
+    bool participate(worker& w) override {
+      if (w.id() != 1 || entered.exchange(true)) return false;
+      while (!release.load()) std::this_thread::yield();
+      left.store(true);
+      return false;
+    }
+    bool finished() const noexcept override { return done.load(); }
+  };
+  blocking_record rec;
+  board& b = rt.loop_board();
+  const int slot = b.post(&rec);
+  ASSERT_GE(slot, 0);
+  rt.notify_work(1);
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!rec.entered.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(rec.entered.load()) << "worker 1 never visited the board";
+  rec.done.store(true);  // the loop is over: clear() may be called
+  std::atomic<bool> cleared{false};
+  bool left_when_cleared = false;
+  std::thread clearer([&] {
+    b.clear(slot);
+    left_when_cleared = rec.left.load();
+    cleared.store(true);
+  });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(cleared.load()) << "clear() returned under a visitor";
+  rec.release.store(true);
+  clearer.join();
+  EXPECT_TRUE(left_when_cleared);
+  EXPECT_FALSE(b.any_open());
+}
+
 TEST(Runtime, WorkerRngSeedsAreIndependent) {
   // Worker RNGs are owner-thread-only, so probe the seed-derivation scheme
   // directly: the runtime seeds worker k with the k-th splitmix64 output,
@@ -191,7 +238,7 @@ TEST(Runtime, IdleParkBailsOutWhenBoardIsOpen) {
   const int slot = rt.loop_board().post(&rec);
   ASSERT_GE(slot, 0);
   EXPECT_TRUE(rt.work_visible());
-  EXPECT_FALSE(rt.idle_park(rt.current_worker()).blocked);
+  EXPECT_FALSE(rt.idle_park(rt.current_worker()).waited);
   rt.loop_board().clear(slot);
 }
 
@@ -202,8 +249,8 @@ TEST(Runtime, IdleParkBailsOutWhenBoardIsOpen) {
 TEST(Runtime, IdleParkReportsRealWaits) {
   runtime rt(1);
   EXPECT_FALSE(rt.work_visible());
-  const runtime::park_outcome out = rt.idle_park(rt.current_worker());
-  EXPECT_TRUE(out.blocked);
+  const parking_lot::park_result out = rt.idle_park(rt.current_worker());
+  EXPECT_TRUE(out.waited);
   EXPECT_EQ(out.reason, parking_lot::wake_reason::timeout);
 }
 

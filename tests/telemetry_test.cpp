@@ -400,6 +400,36 @@ TEST(Report, RunOptionsFromCli) {
   EXPECT_EQ(d.ring_capacity, registry::kDefaultRingCapacity);
 }
 
+// --telemetry-format=json confirms the trace and metrics files on stdout,
+// one JSON object per line, whatever bytes their paths hold: a tab in a
+// path must come out escaped (json_lite rejects raw control characters).
+// The paths name a missing directory, so nothing is written.
+TEST(Report, JsonFinishLinesEscapeControlCharactersInPaths) {
+  const std::string path = "/nonexistent dir\t\"x\"\\/out.json";
+  registry reg(1);
+  run_options opt;
+  opt.format = report_format::json;
+  opt.trace_out = path;
+  opt.metrics_out = path;
+  std::ostringstream os;
+  {
+    run_session session(reg, opt);
+    EXPECT_FALSE(session.finish(os));
+  }
+  std::istringstream lines(os.str());
+  std::string line;
+  std::vector<std::string> sections;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    const auto doc = json_lite::parse(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    sections.push_back(doc->get("section")->as_string());
+    EXPECT_EQ(doc->get("file")->as_string(), path);
+    EXPECT_FALSE(doc->get("written")->as_bool());
+  }
+  EXPECT_EQ(sections, (std::vector<std::string>{"trace", "metrics"}));
+}
+
 TEST(TableJson, QuotesStringsAndPassesNumbersThrough) {
   table t({"name", "value", "note"});
   t.add_row({"a", "4.1", "plain"});

@@ -51,7 +51,7 @@ TEST(VerifyDeque, ExactlyOnceExhaustiveBound3) {
 }
 
 TEST(VerifyRangeSlot, ExactlyOnceAcrossReopenExhaustiveBound3) {
-  auto m = make_range_slot_model(false);
+  auto m = make_range_slot_model(range_slot_variant::shipping);
   const auto res = explore(*m, exhaustive(3));
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_TRUE(res.exhausted);
@@ -155,8 +155,19 @@ TEST(VerifyBroken, RangeSlotCloseWithoutDrainIsCaught) {
   // Downgrading close() to a plain store with no reader drain lets the
   // next open() rewrite the span fields while a thief still reads them —
   // flagged by the vector-clock checker as a data race.
-  expect_caught_and_replayable(make_range_slot_model(true),
-                               make_range_slot_model(true), 3);
+  expect_caught_and_replayable(
+      make_range_slot_model(range_slot_variant::broken_no_drain),
+      make_range_slot_model(range_slot_variant::broken_no_drain), 3);
+}
+
+TEST(VerifyBroken, RangeSlotGateWithoutRereadIsCaught) {
+  // A reader gate that reads the word before announcing the thief lets
+  // close()'s drain find no reader while the thief still holds span 1's
+  // open word: the thief announces after the reopen and reads the span
+  // fields span 2's open() is writing — a data race.
+  expect_caught_and_replayable(
+      make_range_slot_model(range_slot_variant::broken_no_reread),
+      make_range_slot_model(range_slot_variant::broken_no_reread), 3);
 }
 
 TEST(VerifyBroken, RangeWordBlindReserveIsCaught) {

@@ -63,9 +63,9 @@ TEST(Runtime, IdleParkBailsOutWhenWorkIsVisible) {
   std::atomic<int> count{0};
   w.push(new counting_task(count));
   const auto t0 = std::chrono::steady_clock::now();
-  const runtime::park_outcome out = rt.idle_park(w);
+  const parking_lot::park_result out = rt.idle_park(w);
   const auto dt = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(out.blocked);
+  EXPECT_FALSE(out.waited);
   // Far below the park backstop: the re-check fired, not the timeout.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(dt).count(),
             150);
@@ -86,10 +86,10 @@ TEST(Runtime, IdleParkBailsOutWhenPredicateAlreadySatisfied) {
   const bool completed = true;
   const auto pred = [&] { return completed; };
   const auto t0 = std::chrono::steady_clock::now();
-  const runtime::park_outcome out =
+  const parking_lot::park_result out =
       rt.idle_park(rt.current_worker(), park_predicate(pred));
   const auto dt = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(out.blocked);
+  EXPECT_FALSE(out.waited);
   // Far below the park backstop: the re-check fired, not the timeout.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(dt).count(),
             150);

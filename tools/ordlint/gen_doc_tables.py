@@ -21,6 +21,7 @@ CONTRACTS = [
     "src/runtime/range_slot_core.contract.toml",
     "src/runtime/parking_core.contract.toml",
     "src/runtime/board.contract.toml",
+    "src/runtime/reader_gate_core.contract.toml",
     "src/core/claim.contract.toml",
 ]
 

@@ -112,11 +112,13 @@ class RealTree(unittest.TestCase):
         code, out = run_ordlint("--frontend", "text")
         self.assertEqual(code, 0, out)
         self.assertIn("errors=0 advisories=0", out)
-        m = re.search(r"ordlint_sites_checked=(\d+) ordlint_contracts=(\d+)",
-                      out)
+        m = re.search(r"ordlint_sites_checked=(\d+) ordlint_contracts=(\d+) "
+                      r"contract_entries=(\d+)", out)
         self.assertIsNotNone(m, out)
         self.assertGreater(int(m.group(1)), 150, out)
-        self.assertEqual(int(m.group(2)), 5, out)
+        self.assertEqual(int(m.group(2)), 6, out)
+        # Exact: a row added or dropped must be a deliberate edit here.
+        self.assertEqual(int(m.group(3)), 66, out)
 
     def test_clang_frontend_gates_cleanly(self):
         """--frontend=clang must either run (libclang present) or skip
@@ -146,6 +148,7 @@ class DocsRoundTrip(unittest.TestCase):
         "src/runtime/range_slot_core.contract.toml",
         "src/runtime/parking_core.contract.toml",
         "src/runtime/board.contract.toml",
+        "src/runtime/reader_gate_core.contract.toml",
         "src/core/claim.contract.toml",
     ]
 
