@@ -53,15 +53,15 @@ ctest --test-dir build --output-on-failure
 ctest --test-dir build -j"$(nproc)" --repeat until-fail:3 --output-on-failure
 
 # Deterministic model checking (docs/verification.md): bounded-exhaustive
-# sweeps of the shipping protocol cores, then the eight
+# sweeps of the shipping protocol cores, then the nine
 # seeded-broken variants, whose DETECTION is the pass (hls_verify inverts
 # the exit code for models marked expect-failure). The ctest pass above
 # already ran verify_test/claim_interleaving_test; this sweep exercises
 # the CLI path and archives the counters. claim-bitmap is exhausted
 # unbounded in both sweeps (6,373 executions, 0.03 s). HLS_VERIFY_DEEP=1
-# raises the other depths to the full-depth sweep (~50 s instead of ~2 s
+# raises the other depths to the full-depth sweep (~45 s instead of ~2 s
 # on a 4-vCPU guest; the three range models take ~28 s of it, the
-# parking fan-out ~13 s).
+# parking fan-out ~13 s, chunk-queue at bound 5 ~3 s).
 echo "== verify (deterministic model checking)"
 if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
   verify_runs=(
@@ -73,6 +73,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=range_word --bound=5"
     "--model=range_word-floor --bound=5"
     "--model=claim-bitmap --bound=-1"
+    "--model=chunk-queue --bound=5"
     "--model=parking --bound=-1"
     "--model=parking-fanout --bound=3"
     "--model=parking-join --bound=4"
@@ -81,6 +82,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=range_slot-broken-noreread --bound=3"
     "--model=range_word-broken-blindreserve --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
+    "--model=chunk-queue-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-fanout-broken-merge --bound=3"
     "--model=parking-join-broken-nobroadcast --bound=3"
@@ -94,6 +96,7 @@ else
     "--model=range_word --bound=3"
     "--model=range_word-floor --bound=3"
     "--model=claim-bitmap --bound=-1"
+    "--model=chunk-queue --bound=3"
     "--model=parking --bound=3"
     "--model=parking-fanout --bound=2"
     "--model=parking-join --bound=3"
@@ -102,6 +105,7 @@ else
     "--model=range_slot-broken-noreread --bound=3"
     "--model=range_word-broken-blindreserve --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
+    "--model=chunk-queue-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-fanout-broken-merge --bound=3"
     "--model=parking-join-broken-nobroadcast --bound=3"
@@ -311,7 +315,7 @@ for t in deque_test runtime_test parking_test wake_latency_test \
          telemetry_test telemetry_runtime_test faultsim_test \
          hardening_test chaos_sched_test range_slot_test \
          profiler_test metrics_export_test health_test degrade_test \
-         stall_sweep_test partition_set_test; do
+         stall_sweep_test partition_set_test chunk_queue_test; do
   echo "== TSAN $t"
   "build-tsan/tests/$t" --gtest_brief=1
 done

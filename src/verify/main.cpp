@@ -65,6 +65,13 @@ const model_spec kSpecs[] = {
     {"claim-bitmap-broken-nonatomic",
      "claim-bitmap with claims and sweep as a load-then-store (double claim)",
      true, 3},
+    {"chunk-queue",
+     "chunk_queue_core: guided + fixed takes vs take_rest, exactly-once",
+     false, 3},
+    {"chunk-queue-broken-nonatomic",
+     "chunk-queue with the take's fetch_add as a load-then-store (chunk "
+     "handed out twice)",
+     true, 3},
     {"parking", "parking_lot_core: prepare/re-check/park, no lost wakeup",
      false, 3},
     {"parking-broken-norecheck",
@@ -111,6 +118,10 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
     return hls::verify::make_claim_bitmap_model(false);
   if (name == "claim-bitmap-broken-nonatomic")
     return hls::verify::make_claim_bitmap_model(true);
+  if (name == "chunk-queue")
+    return hls::verify::make_chunk_queue_model(false);
+  if (name == "chunk-queue-broken-nonatomic")
+    return hls::verify::make_chunk_queue_model(true);
   if (name == "parking") return hls::verify::make_parking_model(false);
   if (name == "parking-broken-norecheck")
     return hls::verify::make_parking_model(true);

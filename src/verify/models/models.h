@@ -29,6 +29,11 @@
 //                catches either's absence. The range_word variants add
 //                the split/hi handshake itself, and a split floor the
 //                owner lowers while the thief steals.
+//   chunk-queue — every iteration of a guided and a fixed-chunk queue
+//                handed out exactly once, inside [begin, end), across
+//                concurrent takes (one read, one fetch_add) and a racing
+//                take_rest, over the real chunk_queue_core; no guided
+//                chunk exceeds the first.
 //   parking    — no lost wakeup: a consumer using the prepare/re-check/
 //                park protocol always terminates; skipping the re-check
 //                deadlocks (detected, with the interleaving that lost the
@@ -88,6 +93,13 @@ std::unique_ptr<model> make_range_floor_model();
 // claims and sweep set bits with a load-then-store (caught as a
 // double-executed partition).
 std::unique_ptr<model> make_claim_bitmap_model(bool broken_nonatomic);
+
+// Two takers draining a guided and a fixed-chunk chunk_queue_core while a
+// third thread takes the rest of each. broken_nonatomic selects
+// chunk_queue_policy_nonatomic, whose take stores the cursor it read,
+// advanced, in place of the fetch_add (caught as an iteration handed out
+// twice).
+std::unique_ptr<model> make_chunk_queue_model(bool broken_nonatomic);
 
 // Producer/consumer over parking_lot_core. broken_skip_recheck makes the
 // consumer park without the post-prepare_park re-check, reintroducing the

@@ -4,7 +4,8 @@
 // A model (see verify::model below and src/verify/models/) declares a
 // fixed set of logical threads whose bodies exercise a shipping protocol
 // template (ws_deque_core, range_slot_core, parking_lot_core,
-// claim_bitmap_core — the last driven by the real run_claim_loop)
+// chunk_queue_core, claim_bitmap_core — the last driven by the real
+// run_claim_loop)
 // instantiated over verify_traits (verify/shim.h). Every
 // shared-memory operation the shim performs first parks its thread at an
 // *op point*; the scheduler then picks which thread's pending operation

@@ -2,9 +2,9 @@
 // model-checking harness.
 //
 // The lock-free protocol cores (runtime/deque_core.h, runtime/
-// parking_core.h, runtime/range_slot_core.h, core/claim_bitmap_core.h)
-// are header templates parameterized over a Traits type that supplies
-// every synchronization primitive they touch:
+// parking_core.h, runtime/range_slot_core.h, core/claim_bitmap_core.h,
+// core/chunk_queue_core.h) are header templates parameterized over a
+// Traits type that supplies every synchronization primitive they touch:
 //
 //   Traits::atomic<T>   — std::atomic<T> in shipping builds,
 //                         verify::atomic<T> under the harness

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -207,6 +209,46 @@ TEST(LoopOptions, SharedQueueChunkSizeRespected) {
     EXPECT_LE(c.end - c.begin, 10);
   }
   EXPECT_EQ(tr.total_iterations(), 95);
+}
+
+// The largest chunk and min_chunk parallel_for accepts, and loops that end
+// at INT64_MAX: each queue take adds at most what is left, so nothing
+// overflows however often a drained queue is taken from again.
+TEST(LoopOptions, BigQueueChunksRunEachIterationOnce) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kN = 1000;
+  rt::runtime rt(4);
+  struct big_case {
+    policy pol;
+    std::int64_t begin, chunk, min_chunk;
+  };
+  for (const big_case c :
+       {big_case{policy::dynamic_shared, 0, kMax, 1},
+        big_case{policy::guided, 0, 0, kMax},
+        big_case{policy::dynamic_shared, kMax - kN, kMax, 1},
+        big_case{policy::dynamic_shared, kMax - kN, 0, 1},
+        big_case{policy::guided, kMax - kN, 0, kMax},
+        big_case{policy::guided, kMax - kN, 0, 1}}) {
+    loop_options opt;
+    opt.chunk = c.chunk;
+    opt.min_chunk = c.min_chunk;
+    std::vector<std::atomic<int>> hits(kN);
+    const loop_result res = parallel_for(
+        rt, c.begin, c.begin + kN, c.pol,
+        [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t i = lo; i < hi; ++i) {
+            hits[static_cast<std::size_t>(i - c.begin)].fetch_add(
+                1, std::memory_order_relaxed);
+          }
+        },
+        opt);
+    EXPECT_TRUE(res.ok());
+    for (std::int64_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << policy_name(c.pol) << " begin " << c.begin << " chunk "
+          << c.chunk << " min_chunk " << c.min_chunk << " iteration " << i;
+    }
+  }
 }
 
 TEST(StaticPolicy, EachWorkerOwnsOneContiguousBlock) {

@@ -547,30 +547,52 @@ void spin_for(std::chrono::microseconds d) {
   }
 }
 
-// A loop whose last quarter spins 25 us per iteration on 4 workers, posted
-// once the three peers have parked (so the spans reach them through hinted
-// wakes and steals, as in a steady-state step). A span whose first chunk lands
-// in that quarter measures a grain far above the split target and lowers
-// the loop's floor, so the heavy quarter runs in more than two chunks per
-// grain. With the grain as a fixed floor it ran in about one chunk per
-// grain, plus the boundary pieces of stolen ranges.
-void expect_heavy_tail_splits_below_the_grain(policy pol) {
+// Every iteration ran once, no chunk exceeds the grain, and the heavy
+// tail [heavy_lo, n) ran in more than two chunks per grain. With the grain
+// as a fixed floor it ran in about one chunk per grain, plus the boundary
+// pieces of stolen ranges.
+void expect_tail_split_below_the_grain(const trace::loop_trace& tr,
+                                       const std::vector<std::atomic<int>>& hits,
+                                       std::int64_t heavy_lo,
+                                       std::int64_t grain, const char* what) {
+  const auto n = static_cast<std::int64_t>(hits.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+        << what << " iteration " << i;
+  }
+  EXPECT_EQ(tr.total_iterations(), n);
+  std::int64_t heavy_chunks = 0;
+  for (const trace::chunk_rec& c : tr.sorted_by_seq()) {
+    EXPECT_LE(c.end - c.begin, grain) << "the grain stays the largest chunk";
+    if (c.end > heavy_lo) ++heavy_chunks;
+  }
+  EXPECT_GT(heavy_chunks, 2 * (n - heavy_lo) / grain) << what;
+}
+
+void wait_for_parked_peers(rt::runtime& rt) {
+  while (rt.parking().waiters() != rt.num_workers() - 1) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+// A hybrid loop whose last quarter spins 25 us per iteration on 4 workers,
+// posted once the three peers have parked. Partition 3 is that quarter, so
+// the span that runs it measures a heavy first chunk, and lowers the
+// loop's floor, whoever claims it.
+TEST(SplitFloor, HybridHeavyTailSplitsBelowTheGrain) {
   constexpr std::int64_t kN = 512;
   constexpr std::int64_t kGrain = 8;
   constexpr std::int64_t kHeavyLo = kN - kN / 4;
   constexpr std::uint32_t kWorkers = 4;
   rt::runtime rt(kWorkers);
-  while (rt.parking().waiters() != kWorkers - 1) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  wait_for_parked_peers(rt);
   trace::loop_trace tr(kWorkers);
   loop_options opt;
   opt.grain = kGrain;
   opt.trace = &tr;
   std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kN));
-  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
   const loop_result res = for_each(
-      rt, 0, kN, pol,
+      rt, 0, kN, policy::hybrid,
       [&](std::int64_t i) {
         if (i >= kHeavyLo) spin_for(std::chrono::microseconds(25));
         hits[static_cast<std::size_t>(i)].fetch_add(1,
@@ -578,25 +600,54 @@ void expect_heavy_tail_splits_below_the_grain(policy pol) {
       },
       opt);
   ASSERT_TRUE(res.ok());
-  for (std::int64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
-        << policy_name(pol) << " iteration " << i;
-  }
-  EXPECT_EQ(tr.total_iterations(), kN);
-  std::int64_t heavy_chunks = 0;
-  for (const trace::chunk_rec& c : tr.sorted_by_seq()) {
-    EXPECT_LE(c.end - c.begin, kGrain) << "the grain stays the largest chunk";
-    if (c.end > kHeavyLo) ++heavy_chunks;
-  }
-  EXPECT_GT(heavy_chunks, 2 * (kN - kHeavyLo) / kGrain) << policy_name(pol);
+  expect_tail_split_below_the_grain(tr, hits, kHeavyLo, kGrain, "hybrid");
 }
 
+// dynamic_ws: one span per loop until thieves split it, and a span times
+// only its first chunk, so the floor drops once a stolen span starts in
+// the heavy tail. The poster's first reservation, max(grain, N/8), leaves
+// its region at or above N/8, and the first steal takes the upper half of
+// that region: with the tail at [N/2, N), the first stolen span starts in
+// it, and its measured first chunk lowers the floor to 1. The poster waits
+// for that in its second chunk, which its own reservation holds and which
+// is not timed. So however loaded the machine, the tail runs at the grain
+// only in the first reservations of spans opened before the drop. This is
+// parallel_for's dynamic_ws path (range_span::run, then the join) with the
+// loop's context in the test's hands, so the wait can read the floor.
 TEST(SplitFloor, DynamicWsHeavyTailSplitsBelowTheGrain) {
-  expect_heavy_tail_splits_below_the_grain(policy::dynamic_ws);
-}
-
-TEST(SplitFloor, HybridHeavyTailSplitsBelowTheGrain) {
-  expect_heavy_tail_splits_below_the_grain(policy::hybrid);
+  constexpr std::int64_t kN = 512;
+  constexpr std::int64_t kGrain = 8;
+  constexpr std::int64_t kHeavyLo = kN / 2;
+  constexpr std::uint32_t kWorkers = 4;
+  rt::runtime rt(kWorkers);
+  wait_for_parked_peers(rt);
+  trace::loop_trace tr(kWorkers);
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kN));
+  const sched::loop_ctx* loop = nullptr;
+  bool floor_dropped = false;  // written by the poster's second chunk only
+  const auto body = [&](std::int64_t lo, std::int64_t hi) {
+    if (lo == kGrain) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (loop->split_floor() > 1 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      floor_dropped = loop->split_floor() == 1;
+    }
+    for (std::int64_t i = lo; i < hi; ++i) {
+      if (i >= kHeavyLo) spin_for(std::chrono::microseconds(25));
+      hits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                  std::memory_order_relaxed);
+    }
+  };
+  sched::loop_ctx ctx(0, kN, body, kGrain, &tr);
+  loop = &ctx;
+  rt::worker& me = rt.current_worker();
+  sched::range_span::run(me, &ctx, 0, kN);
+  me.work_until([&] { return ctx.finished(); });
+  EXPECT_TRUE(floor_dropped) << "no stolen span lowered the floor in 30 s";
+  expect_tail_split_below_the_grain(tr, hits, kHeavyLo, kGrain, "dynamic_ws");
 }
 
 // A cheap body never lowers the floor. On one worker nobody steals, so the

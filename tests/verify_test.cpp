@@ -1,11 +1,11 @@
 // The verification suite: bounded-exhaustive model checks of the shipping
 // protocol cores (the claim loop over claim_bitmap_core and its leftover
-// sweep, ws_deque, range_slot's one-word claims, parking and its unpark_n
-// fan-out) against the exact templates the runtime instantiates, plus the
-// negative half of the argument — the deliberately-broken protocol
-// variants that the harness must catch, each with a replayable failing
-// schedule. A harness that cannot detect a reintroduced bug proves nothing
-// by passing.
+// sweep, ws_deque, range_slot's one-word claims, the central chunk queue,
+// parking and its unpark_n fan-out) against the exact templates the
+// runtime instantiates, plus the negative half of the argument — the
+// deliberately-broken protocol variants that the harness must catch, each
+// with a replayable failing schedule. A harness that cannot detect a
+// reintroduced bug proves nothing by passing.
 //
 // Depth policy: these run in the default ctest pass, so bounds are chosen
 // to finish in well under a minute total. ci.sh's HLS_VERIFY_DEEP=1 sweep
@@ -87,6 +87,19 @@ TEST(VerifyClaimBitmap, BatchedSweepExactlyOnceExhaustiveUnbounded) {
   const auto res = explore(*m, exhaustive(-1));
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_TRUE(res.exhausted);
+}
+
+TEST(VerifyChunkQueue, ExactlyOnceWithTakeRestExhaustiveBound3) {
+  // The central queue: two takers (one read and one fetch_add per chunk)
+  // drain a guided and a fixed-chunk queue while a third thread takes the
+  // rest of each. Every iteration is handed out once, inside [begin, end),
+  // including a fixed queue that ends at INT64_MAX with a chunk of
+  // INT64_MAX.
+  auto m = make_chunk_queue_model(false);
+  const auto res = explore(*m, exhaustive(3));
+  EXPECT_TRUE(res.ok) << res.failure;
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_GT(res.executions, 1000u);
 }
 
 TEST(VerifyParking, NoLostWakeupExhaustiveBound3) {
@@ -190,6 +203,17 @@ TEST(VerifyBroken, ClaimBitmapNonAtomicSweepIsCaught) {
                                make_claim_bitmap_model(true), 3);
   const auto res = explore(*make_claim_bitmap_model(true), exhaustive(3));
   EXPECT_NE(res.failure.find("executed 2 times"), std::string::npos)
+      << res.failure;
+}
+
+TEST(VerifyBroken, ChunkQueueNonAtomicTakeIsCaught) {
+  // chunk_queue_policy_nonatomic claims a chunk by storing the cursor the
+  // take read, advanced: a second taker between the read and the store
+  // reads the same cursor, and both hand out the chunk at it.
+  expect_caught_and_replayable(make_chunk_queue_model(true),
+                               make_chunk_queue_model(true), 3);
+  const auto res = explore(*make_chunk_queue_model(true), exhaustive(3));
+  EXPECT_NE(res.failure.find("handed out 2 times"), std::string::npos)
       << res.failure;
 }
 

@@ -23,6 +23,7 @@ CONTRACTS = [
     "src/runtime/board.contract.toml",
     "src/runtime/reader_gate_core.contract.toml",
     "src/core/claim.contract.toml",
+    "src/core/chunk_queue.contract.toml",
 ]
 
 

@@ -116,9 +116,9 @@ class RealTree(unittest.TestCase):
                       r"contract_entries=(\d+)", out)
         self.assertIsNotNone(m, out)
         self.assertGreater(int(m.group(1)), 150, out)
-        self.assertEqual(int(m.group(2)), 6, out)
+        self.assertEqual(int(m.group(2)), 7, out)
         # Exact: a row added or dropped must be a deliberate edit here.
-        self.assertEqual(int(m.group(3)), 66, out)
+        self.assertEqual(int(m.group(3)), 70, out)
 
     def test_clang_frontend_gates_cleanly(self):
         """--frontend=clang must either run (libclang present) or skip
@@ -150,6 +150,7 @@ class DocsRoundTrip(unittest.TestCase):
         "src/runtime/board.contract.toml",
         "src/runtime/reader_gate_core.contract.toml",
         "src/core/claim.contract.toml",
+        "src/core/chunk_queue.contract.toml",
     ]
 
     @staticmethod
